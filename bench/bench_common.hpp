@@ -62,9 +62,7 @@ inline bool nofis_family(const std::string& method) {
 
 /// Parses a --coupling flag value; throws (CLI exit 2) on anything else.
 inline flow::CouplingKind parse_coupling(const std::string& name) {
-    if (name == "affine") return flow::CouplingKind::kAffine;
-    if (name == "additive") return flow::CouplingKind::kAdditive;
-    if (name == "rqs") return flow::CouplingKind::kRqs;
+    if (const auto kind = flow::parse_coupling_kind(name)) return *kind;
     throw std::invalid_argument("unknown coupling '" + name +
                                 "' (expected affine|additive|rqs)");
 }

@@ -130,9 +130,7 @@ ClientStats run_client(serve::BatchScheduler& scheduler, std::size_t requests,
 /// workers: m0..m7 hit residues {0,3,2,1,0,3,2,1} mod 4 and alternate
 /// perfectly mod 2, so every sweep loads each worker equally.
 std::vector<std::string> sweep_models() {
-    std::vector<std::string> names;
-    for (int i = 0; i < 8; ++i) names.push_back("m" + std::to_string(i));
-    return names;
+    return {"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"};
 }
 
 /// One TCP client: `requests` pipelined sample requests against `model`

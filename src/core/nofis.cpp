@@ -109,7 +109,10 @@ std::uint64_t run_fingerprint(const NofisConfig& cfg,
         .add(cfg.retry_scale_cap_factor)
         .add(cfg.min_inside_fraction)
         .add(cfg.grad_explode_factor)
-        .add(static_cast<std::uint64_t>(cfg.grad_clip_mode))
+        // Former clip-mode slot: global-norm clipping always folded 0
+        // here, so the constant keeps every fingerprint (and thus every
+        // existing checkpoint) valid.
+        .add(std::uint64_t{0})
         .add(cfg.checkpoint.salt);
     return fp.value();
 }
@@ -283,10 +286,8 @@ NofisEstimator::RunResult NofisEstimator::run(
             stage_lr = resume.stage_lr;
         }
 
-        std::size_t param_count = 0;
-        for (const auto& p : train_params) param_count += p.value().size();
-        const double explode_limit = nn::grad_explode_limit(
-            cfg_.grad_clip_mode, clip, cfg_.grad_explode_factor, param_count);
+        const double explode_limit =
+            nn::grad_explode_limit(clip, cfg_.grad_explode_factor);
 
         if (resume.start_epoch == 0) {
             diag.epoch_loss.clear();
@@ -441,8 +442,7 @@ NofisEstimator::RunResult NofisEstimator::run(
             phase.emplace("backward");
             opt.zero_grad();
             graph_loss.backward();
-            const double grad_norm =
-                opt.clip_gradients(cfg_.grad_clip_mode, clip);
+            const double grad_norm = opt.clip_grad_norm(clip);
             phase.reset();
             if (abort_on_divergence &&
                 (!std::isfinite(grad_norm) || grad_norm > explode_limit))

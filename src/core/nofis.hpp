@@ -36,7 +36,7 @@ struct NofisConfig {
     double learning_rate = 5e-3;
     /// Multiplicative per-epoch LR decay within each stage (1 = constant).
     double lr_decay = 1.0;
-    double grad_clip = 50.0;
+    double grad_clip = 50.0;  ///< global L2-norm gradient clip
 
     // NOFIS specifics.
     double tau = 20.0;          ///< temperature of the tempered targets
@@ -82,14 +82,9 @@ struct NofisConfig {
     /// a rollback (0 disables — the paper's level schedules keep the
     /// nominal fraction well above any sensible threshold).
     double min_inside_fraction = 0.0;
-    /// Pre-clip gradient norm above nn::grad_explode_limit(grad_clip_mode,
-    /// grad_clip, grad_explode_factor, P) counts as divergence. The limit
-    /// is mode-aware: under kPerValue it scales with sqrt(P) because the
-    /// clip bounds components, not the norm (see nn::grad_explode_limit).
+    /// Pre-clip gradient norm above nn::grad_explode_limit(grad_clip,
+    /// grad_explode_factor) counts as divergence.
     double grad_explode_factor = 100.0;
-    /// Direction-preserving global-norm clipping by default; kPerValue
-    /// reproduces earlier per-component clamping benches.
-    nn::GradClipMode grad_clip_mode = nn::GradClipMode::kGlobalNorm;
 
     // --- evaluation cache (DESIGN.md, "Evaluation cache").
     /// Optional shared two-tier g-evaluation cache. When set, every value

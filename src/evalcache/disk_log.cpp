@@ -279,9 +279,12 @@ std::uint64_t DiskLog::append(std::span<const double> x, double value) {
     const ScopedFlock guard(lock_fd_);
     reopen_if_replaced();
     seek_true_end();
-    std::vector<char> payload(x.size_bytes() + 8);
-    std::memcpy(payload.data(), x.data(), x.size_bytes());
-    std::memcpy(payload.data() + x.size_bytes(), &value, 8);
+    // Built by byte-range insertion: the memcpy form of the same copy trips
+    // a g++ 12 -Wstringop-overflow false positive at -O3.
+    const auto* x_bytes = reinterpret_cast<const char*>(x.data());
+    std::vector<char> payload(x_bytes, x_bytes + x.size_bytes());
+    const auto* value_bytes = reinterpret_cast<const char*>(&value);
+    payload.insert(payload.end(), value_bytes, value_bytes + 8);
     const std::uint64_t payload_offset = end_ + 4;
     // The checksum always covers the TRUE payload; an injected bit-flip
     // below therefore produces a record that fails verification on read —

@@ -41,25 +41,15 @@ linalg::Matrix ActNorm::forward_values(const linalg::Matrix& x,
     const auto& b = shift_.value();
     double ld = 0.0;
     for (std::size_t c = 0; c < dim_; ++c) ld += s(0, c);
-    if (linalg::kernels::simd_active()) {
-        // Hoist the per-column exp out of the batch loop — exp of the same
-        // input is the same double, so this is bitwise-identical to the
-        // reference loop while doing dim exps instead of rows·dim.
-        std::vector<double> scale(dim_);
-        for (std::size_t c = 0; c < dim_; ++c)
-            scale[c] = linalg::kernels::k_exp(s(0, c));
-        linalg::Matrix y(x.rows(), dim_);
-        linalg::kernels::scale_shift_rows(x.data(), scale.data(), b.data(),
-                                          y.data(), dim_, 0, x.rows());
-        for (std::size_t r = 0; r < x.rows(); ++r) log_det[r] += ld;
-        return y;
-    }
-    linalg::Matrix y = x;
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        for (std::size_t c = 0; c < dim_; ++c)
-            y(r, c) = x(r, c) * linalg::kernels::k_exp(s(0, c)) + b(0, c);
-        log_det[r] += ld;
-    }
+    // Hoist the per-column exp out of the batch loop: dim exps instead of
+    // rows·dim, and exp of the same input is the same double.
+    std::vector<double> scale(dim_);
+    for (std::size_t c = 0; c < dim_; ++c)
+        scale[c] = linalg::kernels::k_exp(s(0, c));
+    linalg::Matrix y(x.rows(), dim_);
+    linalg::kernels::scale_shift_rows(x.data(), scale.data(), b.data(),
+                                      y.data(), dim_, 0, x.rows());
+    for (std::size_t r = 0; r < x.rows(); ++r) log_det[r] += ld;
     return y;
 }
 

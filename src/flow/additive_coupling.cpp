@@ -1,6 +1,6 @@
 #include "flow/additive_coupling.hpp"
 
-#include <stdexcept>
+#include <limits>
 
 #include "autodiff/ops.hpp"
 
@@ -9,66 +9,29 @@ namespace nofis::flow {
 AdditiveCoupling::AdditiveCoupling(std::size_t dim, bool pass_first_half,
                                    std::vector<std::size_t> hidden,
                                    rng::Engine& eng)
-    : dim_(dim),
-      net_([&] {
-          if (dim < 2)
-              throw std::invalid_argument(
-                  "AdditiveCoupling: dim must be >= 2");
-          const std::size_t half = (dim + 1) / 2;
-          const std::size_t na = pass_first_half ? half : dim - half;
-          std::vector<std::size_t> layout;
-          layout.push_back(na);
-          for (auto h : hidden) layout.push_back(h);
-          layout.push_back(dim - na);
-          return nn::MLP(layout, nn::Activation::kTanh, eng,
-                         /*out_gain=*/0.0);
-      }()) {
-    const std::size_t half = (dim + 1) / 2;
-    if (pass_first_half) {
-        for (std::size_t i = 0; i < half; ++i) idx_a_.push_back(i);
-        for (std::size_t i = half; i < dim; ++i) idx_b_.push_back(i);
-    } else {
-        for (std::size_t i = half; i < dim; ++i) idx_a_.push_back(i);
-        for (std::size_t i = 0; i < half; ++i) idx_b_.push_back(i);
-    }
-}
+    : MaskedCoupling("AdditiveCoupling", dim, pass_first_half,
+                     std::move(hidden), /*out_per_coord=*/1,
+                     // One add per element: never worth a fork.
+                     std::numeric_limits<std::size_t>::max(), eng) {}
 
-FlowLayer::ForwardVar AdditiveCoupling::forward(const autodiff::Var& x) const {
-    using namespace autodiff;
-    if (x.cols() != dim_)
-        throw std::invalid_argument("AdditiveCoupling::forward: dim mismatch");
-    Var xa = select_cols(x, idx_a_);
-    Var xb = select_cols(x, idx_b_);
-    Var t = net_.forward(xa);
-    Var yb = add(xb, t);
-    Var y = combine_cols(xa, idx_a_, yb, idx_b_, dim_);
+FlowLayer::ForwardVar AdditiveCoupling::transform(
+    const autodiff::Var& xb, const autodiff::Var& h) const {
     // Volume preserving: log|det J| = 0 for every sample.
-    Var log_det(linalg::Matrix(x.rows(), 1));
-    return {y, log_det};
+    return {autodiff::add(xb, h),
+            autodiff::Var(linalg::Matrix(xb.rows(), 1))};
 }
 
-linalg::Matrix AdditiveCoupling::forward_values(
-    const linalg::Matrix& x, std::vector<double>& log_det) const {
-    if (x.cols() != dim_ || log_det.size() != x.rows())
-        throw std::invalid_argument("AdditiveCoupling::forward_values");
-    const linalg::Matrix t = net_.predict(x.select_cols(idx_a_));
-    linalg::Matrix y = x;
-    for (std::size_t r = 0; r < x.rows(); ++r)
-        for (std::size_t j = 0; j < idx_b_.size(); ++j)
-            y(r, idx_b_[j]) += t(r, j);
-    return y;
-}
-
-linalg::Matrix AdditiveCoupling::inverse_values(
-    const linalg::Matrix& y, std::vector<double>& log_det) const {
-    if (y.cols() != dim_ || log_det.size() != y.rows())
-        throw std::invalid_argument("AdditiveCoupling::inverse_values");
-    const linalg::Matrix t = net_.predict(y.select_cols(idx_a_));
-    linalg::Matrix x = y;
-    for (std::size_t r = 0; r < y.rows(); ++r)
-        for (std::size_t j = 0; j < idx_b_.size(); ++j)
-            x(r, idx_b_[j]) -= t(r, j);
-    return x;
+void AdditiveCoupling::transform_rows(bool inverse, const double* in,
+                                      const double* h, double* out,
+                                      double* /*log_det*/, std::size_t r0,
+                                      std::size_t r1) const {
+    const auto idx_b = transform_indices();
+    const std::size_t nb = idx_b.size();
+    for (std::size_t r = r0; r < r1; ++r)
+        for (std::size_t j = 0; j < nb; ++j) {
+            const std::size_t c = r * dim() + idx_b[j];
+            out[c] = inverse ? in[c] - h[r * nb + j] : in[c] + h[r * nb + j];
+        }
 }
 
 }  // namespace nofis::flow

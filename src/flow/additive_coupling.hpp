@@ -1,7 +1,6 @@
 #pragma once
 
-#include "flow/layer.hpp"
-#include "nn/mlp.hpp"
+#include "flow/masked_coupling.hpp"
 
 namespace nofis::flow {
 
@@ -11,31 +10,17 @@ namespace nofis::flow {
 /// affine coupling, but it cannot reshape density magnitudes — only move
 /// them — which is why RealNVP is the paper's backbone; the difference is
 /// measured by bench/ablation_coupling.
-class AdditiveCoupling final : public FlowLayer {
+class AdditiveCoupling final : public MaskedCoupling {
 public:
     AdditiveCoupling(std::size_t dim, bool pass_first_half,
                      std::vector<std::size_t> hidden, rng::Engine& eng);
 
-    std::size_t dim() const noexcept override { return dim_; }
-
-    ForwardVar forward(const autodiff::Var& x) const override;
-    linalg::Matrix forward_values(const linalg::Matrix& x,
-                                  std::vector<double>& log_det) const override;
-    linalg::Matrix inverse_values(const linalg::Matrix& y,
-                                  std::vector<double>& log_det) const override;
-
-    std::vector<autodiff::Var> params() const override {
-        return net_.params();
-    }
-    void set_trainable(bool trainable) override {
-        net_.set_trainable(trainable);
-    }
-
 private:
-    std::size_t dim_;
-    std::vector<std::size_t> idx_a_;
-    std::vector<std::size_t> idx_b_;
-    nn::MLP net_;
+    ForwardVar transform(const autodiff::Var& xb,
+                         const autodiff::Var& h) const override;
+    void transform_rows(bool inverse, const double* in, const double* h,
+                        double* out, double* log_det, std::size_t r0,
+                        std::size_t r1) const override;
 };
 
 }  // namespace nofis::flow

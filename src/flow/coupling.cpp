@@ -1,67 +1,33 @@
 #include "flow/coupling.hpp"
 
 #include <numeric>
-#include <stdexcept>
 
+#include "autodiff/ops.hpp"
 #include "linalg/kernels/kernels.hpp"
-#include "linalg/kernels/scalar_math.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace nofis::flow {
 
 namespace {
 
-namespace kernels = linalg::kernels;
-
 /// Transformed elements below this count run inline; each element costs a
 /// tanh + exp, so the bar is much lower than the matmul threshold.
 constexpr std::size_t kParallelAffineMinElems = 1u << 12;
 
-std::vector<std::size_t> make_hidden_layout(std::size_t in,
-                                            std::vector<std::size_t> hidden,
-                                            std::size_t out) {
-    std::vector<std::size_t> sizes;
-    sizes.push_back(in);
-    for (auto h : hidden) sizes.push_back(h);
-    sizes.push_back(out);
-    return sizes;
-}
 }  // namespace
 
 AffineCoupling::AffineCoupling(std::size_t dim, bool pass_first_half,
                                std::vector<std::size_t> hidden,
                                rng::Engine& eng, double scale_cap)
-    : dim_(dim),
-      scale_cap_(scale_cap),
-      net_([&] {
-          if (dim < 2)
-              throw std::invalid_argument("AffineCoupling: dim must be >= 2");
-          const std::size_t half = (dim + 1) / 2;
-          const std::size_t na = pass_first_half ? half : dim - half;
-          const std::size_t nb = dim - na;
-          return nn::MLP(make_hidden_layout(na, std::move(hidden), 2 * nb),
-                         nn::Activation::kTanh, eng, /*out_gain=*/0.0);
-      }()) {
-    const std::size_t half = (dim + 1) / 2;
-    if (pass_first_half) {
-        for (std::size_t i = 0; i < half; ++i) idx_a_.push_back(i);
-        for (std::size_t i = half; i < dim; ++i) idx_b_.push_back(i);
-    } else {
-        for (std::size_t i = half; i < dim; ++i) idx_a_.push_back(i);
-        for (std::size_t i = 0; i < half; ++i) idx_b_.push_back(i);
-    }
-}
+    : MaskedCoupling("AffineCoupling", dim, pass_first_half,
+                     std::move(hidden), /*out_per_coord=*/2,
+                     kParallelAffineMinElems, eng),
+      scale_cap_(scale_cap) {}
 
-FlowLayer::ForwardVar AffineCoupling::forward(const autodiff::Var& x) const {
+FlowLayer::ForwardVar AffineCoupling::transform(const autodiff::Var& xb,
+                                                const autodiff::Var& h) const {
     using namespace autodiff;
-    if (x.cols() != dim_)
-        throw std::invalid_argument("AffineCoupling::forward: dim mismatch");
-    const std::size_t nb = idx_b_.size();
-
-    Var xa = select_cols(x, idx_a_);
-    Var xb = select_cols(x, idx_b_);
-    Var h = net_.forward(xa);
-
+    // h = [ŝ | t], each nb wide.
+    const std::size_t nb = xb.cols();
     std::vector<std::size_t> s_idx(nb);
     std::vector<std::size_t> t_idx(nb);
     std::iota(s_idx.begin(), s_idx.end(), std::size_t{0});
@@ -69,109 +35,18 @@ FlowLayer::ForwardVar AffineCoupling::forward(const autodiff::Var& x) const {
 
     Var s = scale(tanh_v(select_cols(h, s_idx)), scale_cap_);
     Var t = select_cols(h, t_idx);
-
-    Var yb = add(mul(xb, exp_v(s)), t);
-    Var y = combine_cols(xa, idx_a_, yb, idx_b_, dim_);
-    Var log_det = row_sums(s);
-    return {y, log_det};
+    return {add(mul(xb, exp_v(s)), t), row_sums(s)};
 }
 
-void AffineCoupling::conditioner_values(const linalg::Matrix& xa,
-                                        linalg::Matrix& s,
-                                        linalg::Matrix& t) const {
-    const std::size_t nb = idx_b_.size();
-    const linalg::Matrix h = net_.predict(xa);
-    s = linalg::Matrix(h.rows(), nb);
-    t = linalg::Matrix(h.rows(), nb);
-    for (std::size_t r = 0; r < h.rows(); ++r)
-        for (std::size_t c = 0; c < nb; ++c) {
-            s(r, c) = scale_cap_ * kernels::k_tanh(h(r, c));
-            t(r, c) = h(r, c + nb);
-        }
-}
-
-linalg::Matrix AffineCoupling::forward_values(
-    const linalg::Matrix& x, std::vector<double>& log_det) const {
-    if (x.cols() != dim_)
-        throw std::invalid_argument("AffineCoupling::forward_values: dim");
-    if (log_det.size() != x.rows())
-        throw std::invalid_argument("AffineCoupling::forward_values: log_det");
-
-    const std::size_t nb = idx_b_.size();
-    if (kernels::simd_active()) {
-        // Fused path: the raw conditioner output h feeds affine_fwd_rows
-        // directly — no s/t temporaries, tanh/exp applied in the same order
-        // as the reference loop so results stay bitwise identical.
-        const linalg::Matrix h = net_.predict(x.select_cols(idx_a_));
-        linalg::Matrix y = x;
-        auto row_range = [&](std::size_t r0, std::size_t r1) {
-            kernels::affine_fwd_rows(x.data(), h.data(), idx_b_.data(), nb,
-                                     scale_cap_, dim_, y.data(),
-                                     log_det.data(), r0, r1);
-        };
-        if (x.rows() * nb >= kParallelAffineMinElems)
-            parallel::parallel_for(x.rows(), row_range);
-        else
-            row_range(0, x.rows());
-        return y;
-    }
-
-    linalg::Matrix s;
-    linalg::Matrix t;
-    conditioner_values(x.select_cols(idx_a_), s, t);
-
-    linalg::Matrix y = x;
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        double ld = 0.0;
-        for (std::size_t j = 0; j < idx_b_.size(); ++j) {
-            const std::size_t c = idx_b_[j];
-            y(r, c) = x(r, c) * kernels::k_exp(s(r, j)) + t(r, j);
-            ld += s(r, j);
-        }
-        log_det[r] += ld;
-    }
-    return y;
-}
-
-linalg::Matrix AffineCoupling::inverse_values(
-    const linalg::Matrix& y, std::vector<double>& log_det) const {
-    if (y.cols() != dim_)
-        throw std::invalid_argument("AffineCoupling::inverse_values: dim");
-    if (log_det.size() != y.rows())
-        throw std::invalid_argument("AffineCoupling::inverse_values: log_det");
-
-    // y_A == x_A, so the conditioner sees the same input as in forward.
-    const std::size_t nb = idx_b_.size();
-    if (kernels::simd_active()) {
-        const linalg::Matrix h = net_.predict(y.select_cols(idx_a_));
-        linalg::Matrix x = y;
-        auto row_range = [&](std::size_t r0, std::size_t r1) {
-            kernels::affine_inv_rows(y.data(), h.data(), idx_b_.data(), nb,
-                                     scale_cap_, dim_, x.data(),
-                                     log_det.data(), r0, r1);
-        };
-        if (y.rows() * nb >= kParallelAffineMinElems)
-            parallel::parallel_for(y.rows(), row_range);
-        else
-            row_range(0, y.rows());
-        return x;
-    }
-
-    linalg::Matrix s;
-    linalg::Matrix t;
-    conditioner_values(y.select_cols(idx_a_), s, t);
-
-    linalg::Matrix x = y;
-    for (std::size_t r = 0; r < y.rows(); ++r) {
-        double ld = 0.0;
-        for (std::size_t j = 0; j < idx_b_.size(); ++j) {
-            const std::size_t c = idx_b_[j];
-            x(r, c) = (y(r, c) - t(r, j)) * kernels::k_exp(-s(r, j));
-            ld += s(r, j);
-        }
-        log_det[r] += ld;
-    }
-    return x;
+void AffineCoupling::transform_rows(bool inverse, const double* in,
+                                    const double* h, double* out,
+                                    double* log_det, std::size_t r0,
+                                    std::size_t r1) const {
+    const auto idx_b = transform_indices();
+    (inverse ? linalg::kernels::affine_inv_rows
+             : linalg::kernels::affine_fwd_rows)(in, h, idx_b.data(),
+                                                 idx_b.size(), scale_cap_,
+                                                 dim(), out, log_det, r0, r1);
 }
 
 }  // namespace nofis::flow

@@ -1,10 +1,34 @@
 #include "flow/coupling_stack.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "rng/normal.hpp"
 
 namespace nofis::flow {
+
+namespace {
+
+/// The one CouplingKind <-> token table.
+constexpr std::pair<CouplingKind, std::string_view> kCouplingTokens[] = {
+    {CouplingKind::kAffine, "affine"},
+    {CouplingKind::kAdditive, "additive"},
+    {CouplingKind::kRqs, "rqs"},
+};
+
+}  // namespace
+
+std::string coupling_kind_name(CouplingKind kind) {
+    for (const auto& [k, token] : kCouplingTokens)
+        if (k == kind) return std::string(token);
+    throw std::logic_error("coupling_kind_name: unknown CouplingKind");
+}
+
+std::optional<CouplingKind> parse_coupling_kind(std::string_view token) {
+    for (const auto& [k, t] : kCouplingTokens)
+        if (t == token) return k;
+    return std::nullopt;
+}
 
 CouplingStack::CouplingStack(const StackConfig& cfg, rng::Engine& eng)
     : cfg_(cfg),

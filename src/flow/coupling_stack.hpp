@@ -1,6 +1,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "dist/standard_normal.hpp"
@@ -17,6 +20,13 @@ enum class CouplingKind {
     kAdditive,  ///< NICE — volume-preserving ablation
     kRqs,       ///< monotone rational-quadratic splines (DESIGN.md §14)
 };
+
+/// The family's token in the .nofisflow header and on the CLI:
+/// "affine" / "additive" / "rqs".
+std::string coupling_kind_name(CouplingKind kind);
+
+/// Inverse of coupling_kind_name; nullopt for any other token.
+std::optional<CouplingKind> parse_coupling_kind(std::string_view token);
 
 /// Configuration for a block-structured coupling stack.
 struct StackConfig {

@@ -10,7 +10,8 @@ namespace nofis::flow {
 /// Interface of one invertible flow transformation f_i (Eq. 4 of the
 /// paper): a differentiable forward for training, cheap value-only forward
 /// for sampling, and an exact inverse for density evaluation. Implemented
-/// by AffineCoupling (RealNVP), AdditiveCoupling (NICE), and ActNorm.
+/// by the MaskedCoupling families (AffineCoupling, AdditiveCoupling,
+/// RqsCoupling) and ActNorm.
 class FlowLayer {
 public:
     virtual ~FlowLayer() = default;

@@ -2,9 +2,10 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "autodiff/ops.hpp"
 #include "linalg/kernels/kernels.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace nofis::flow {
 
@@ -14,17 +15,20 @@ namespace kernels = linalg::kernels;
 
 /// Transformed elements below this count run inline. Each element costs an
 /// O(num_bins) knot build plus two logs — heavier than the affine
-/// tanh+exp — so the bar sits below kParallelAffineMinElems.
+/// tanh+exp — so the bar sits below the affine coupling's.
 constexpr std::size_t kParallelRqsMinElems = 1u << 10;
 
-std::vector<std::size_t> make_hidden_layout(std::size_t in,
-                                            std::vector<std::size_t> hidden,
-                                            std::size_t out) {
-    std::vector<std::size_t> sizes;
-    sizes.push_back(in);
-    for (auto h : hidden) sizes.push_back(h);
-    sizes.push_back(out);
-    return sizes;
+/// Validates the spline knobs (before the conditioner draws its weights)
+/// and returns the raw parameter count per transformed coordinate.
+std::size_t spline_params(std::size_t num_bins, double tail_bound) {
+    if (num_bins == 0 || num_bins > kernels::kMaxRqsBins)
+        throw std::invalid_argument("RqsCoupling: num_bins must be in [1, " +
+                                    std::to_string(kernels::kMaxRqsBins) +
+                                    "]");
+    if (!std::isfinite(tail_bound) || tail_bound <= 0.0)
+        throw std::invalid_argument(
+            "RqsCoupling: tail_bound must be finite and positive");
+    return 3 * num_bins + 1;
 }
 
 }  // namespace
@@ -32,95 +36,26 @@ std::vector<std::size_t> make_hidden_layout(std::size_t in,
 RqsCoupling::RqsCoupling(std::size_t dim, bool pass_first_half,
                          std::vector<std::size_t> hidden, rng::Engine& eng,
                          std::size_t num_bins, double tail_bound)
-    : dim_(dim),
+    : MaskedCoupling("RqsCoupling", dim, pass_first_half, std::move(hidden),
+                     spline_params(num_bins, tail_bound),
+                     kParallelRqsMinElems, eng),
       num_bins_(num_bins),
-      tail_bound_(tail_bound),
-      net_([&] {
-          if (dim < 2)
-              throw std::invalid_argument("RqsCoupling: dim must be >= 2");
-          if (num_bins == 0 || num_bins > kernels::kMaxRqsBins)
-              throw std::invalid_argument(
-                  "RqsCoupling: num_bins must be in [1, " +
-                  std::to_string(kernels::kMaxRqsBins) + "]");
-          if (!std::isfinite(tail_bound) || tail_bound <= 0.0)
-              throw std::invalid_argument(
-                  "RqsCoupling: tail_bound must be finite and positive");
-          const std::size_t half = (dim + 1) / 2;
-          const std::size_t na = pass_first_half ? half : dim - half;
-          const std::size_t nb = dim - na;
-          return nn::MLP(
-              make_hidden_layout(na, std::move(hidden),
-                                 nb * (3 * num_bins + 1)),
-              nn::Activation::kTanh, eng, /*out_gain=*/0.0);
-      }()) {
-    const std::size_t half = (dim + 1) / 2;
-    if (pass_first_half) {
-        for (std::size_t i = 0; i < half; ++i) idx_a_.push_back(i);
-        for (std::size_t i = half; i < dim; ++i) idx_b_.push_back(i);
-    } else {
-        for (std::size_t i = half; i < dim; ++i) idx_a_.push_back(i);
-        for (std::size_t i = 0; i < half; ++i) idx_b_.push_back(i);
-    }
+      tail_bound_(tail_bound) {}
+
+FlowLayer::ForwardVar RqsCoupling::transform(const autodiff::Var& xb,
+                                             const autodiff::Var& h) const {
+    auto [yb, log_det] = autodiff::rqs_forward(xb, h, num_bins_, tail_bound_);
+    return {yb, log_det};
 }
 
-FlowLayer::ForwardVar RqsCoupling::forward(const autodiff::Var& x) const {
-    using namespace autodiff;
-    if (x.cols() != dim_)
-        throw std::invalid_argument("RqsCoupling::forward: dim mismatch");
-    Var xa = select_cols(x, idx_a_);
-    Var xb = select_cols(x, idx_b_);
-    Var h = net_.forward(xa);
-    auto [yb, log_det] = rqs_forward(xb, h, num_bins_, tail_bound_);
-    Var y = combine_cols(xa, idx_a_, yb, idx_b_, dim_);
-    return {y, log_det};
-}
-
-linalg::Matrix RqsCoupling::forward_values(
-    const linalg::Matrix& x, std::vector<double>& log_det) const {
-    if (x.cols() != dim_)
-        throw std::invalid_argument("RqsCoupling::forward_values: dim");
-    if (log_det.size() != x.rows())
-        throw std::invalid_argument("RqsCoupling::forward_values: log_det");
-
-    // Both kernel flavours resolve to the same spline implementation, so
-    // there is no scalar/simd branch here (unlike AffineCoupling, whose
-    // scalar flavour keeps the legacy pre-kernel loop).
-    const std::size_t nb = idx_b_.size();
-    const linalg::Matrix h = net_.predict(x.select_cols(idx_a_));
-    linalg::Matrix y = x;
-    auto row_range = [&](std::size_t r0, std::size_t r1) {
-        kernels::rqs_fwd_rows(x.data(), h.data(), idx_b_.data(), nb,
-                              num_bins_, tail_bound_, dim_, y.data(),
-                              log_det.data(), r0, r1);
-    };
-    if (x.rows() * nb >= kParallelRqsMinElems)
-        parallel::parallel_for(x.rows(), row_range);
-    else
-        row_range(0, x.rows());
-    return y;
-}
-
-linalg::Matrix RqsCoupling::inverse_values(
-    const linalg::Matrix& y, std::vector<double>& log_det) const {
-    if (y.cols() != dim_)
-        throw std::invalid_argument("RqsCoupling::inverse_values: dim");
-    if (log_det.size() != y.rows())
-        throw std::invalid_argument("RqsCoupling::inverse_values: log_det");
-
-    // y_A == x_A, so the conditioner sees the same input as in forward.
-    const std::size_t nb = idx_b_.size();
-    const linalg::Matrix h = net_.predict(y.select_cols(idx_a_));
-    linalg::Matrix x = y;
-    auto row_range = [&](std::size_t r0, std::size_t r1) {
-        kernels::rqs_inv_rows(y.data(), h.data(), idx_b_.data(), nb,
-                              num_bins_, tail_bound_, dim_, x.data(),
-                              log_det.data(), r0, r1);
-    };
-    if (y.rows() * nb >= kParallelRqsMinElems)
-        parallel::parallel_for(y.rows(), row_range);
-    else
-        row_range(0, y.rows());
-    return x;
+void RqsCoupling::transform_rows(bool inverse, const double* in,
+                                 const double* h, double* out,
+                                 double* log_det, std::size_t r0,
+                                 std::size_t r1) const {
+    const auto idx_b = transform_indices();
+    (inverse ? kernels::rqs_inv_rows : kernels::rqs_fwd_rows)(
+        in, h, idx_b.data(), idx_b.size(), num_bins_, tail_bound_, dim(), out,
+        log_det, r0, r1);
 }
 
 }  // namespace nofis::flow

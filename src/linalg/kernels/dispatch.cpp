@@ -112,8 +112,6 @@ const char* simd_backend() noexcept {
     return detail::simd_resolution().backend;
 }
 
-bool simd_active() noexcept { return active() == Choice::kSimd; }
-
 void matmul_rows(const double* lhs, const double* rhs, double* out,
                  std::size_t r0, std::size_t r1, std::size_t k,
                  std::size_t n) {

@@ -15,7 +15,11 @@ namespace nofis::linalg::kernels {
 ///     baseline every fused/SIMD kernel is bitwise-checked against.
 ///   * `simd`   — register-blocked, vectorized variants (AVX2 or NEON
 ///     intrinsics when the CPU has them, portable `#pragma omp simd`-style
-///     loops otherwise) plus the fused inference kernels.
+///     loops otherwise).
+///
+/// The flavour selects only the table behind these entry points: both run
+/// under the same fused value-path drivers (nn::MLP::predict, the coupling
+/// and ActNorm value paths).
 ///
 /// Determinism contract: for every kernel the per-output-element operation
 /// and accumulation order is IDENTICAL across flavours and SIMD backends —
@@ -37,8 +41,8 @@ namespace nofis::linalg::kernels {
 /// results.
 enum class Choice {
     kAuto,    ///< resolve to kSimd (best available backend)
-    kScalar,  ///< serial reference kernels + legacy tape inference path
-    kSimd,    ///< fused + vectorized kernels
+    kScalar,  ///< serial reference kernels
+    kSimd,    ///< vectorized kernels
 };
 
 /// Resolved active choice — never kAuto.
@@ -58,9 +62,6 @@ const char* choice_name() noexcept;
 /// SIMD backend the `simd` flavour dispatches to on this machine:
 /// "avx2", "neon", or "portable".
 const char* simd_backend() noexcept;
-
-/// True when the active flavour is the fused/vectorized one.
-bool simd_active() noexcept;
 
 /// Activation applied by the fused linear kernel (mirrors nn::Activation;
 /// kept separate so linalg does not depend on nn).

@@ -71,11 +71,6 @@ autodiff::Var MLP::forward(const autodiff::Var& x) const {
 }
 
 linalg::Matrix MLP::predict(const linalg::Matrix& x) const {
-    // Scalar flavour keeps the legacy graph path: it is the reference the
-    // fused kernels are bitwise-checked against (and the honest perf
-    // baseline for the O2 speedup claims).
-    if (!kernels::simd_active()) return forward(autodiff::Var(x)).value();
-
     // Fused value path: one linear_act_rows kernel per layer, no autodiff
     // tape, no separate bias/activation passes. Rows are independent, so
     // large batches tile over the pool with disjoint writes (§8.2) and the

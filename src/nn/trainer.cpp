@@ -42,7 +42,7 @@ TrainHistory fit_impl(MLP& model, const linalg::Matrix& x,
             opt.zero_grad();
             Var loss = make_loss(model, bx, by);
             loss.backward();
-            opt.clip_gradients(cfg.grad_clip_mode, cfg.grad_clip);
+            opt.clip_grad_norm(cfg.grad_clip);
             opt.step();
             epoch_loss += loss.value()(0, 0);
             ++batches;

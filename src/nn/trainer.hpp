@@ -12,9 +12,7 @@ struct TrainConfig {
     std::size_t epochs = 200;
     std::size_t batch_size = 64;
     double learning_rate = 1e-3;
-    double grad_clip = 10.0;
-    /// kPerValue reproduces earlier per-component clamping benches.
-    GradClipMode grad_clip_mode = GradClipMode::kGlobalNorm;
+    double grad_clip = 10.0;  ///< global-norm gradient clip
 };
 
 /// Per-epoch training losses (for diagnostics / convergence tests).

@@ -558,12 +558,12 @@ void Cluster::shutdown() {
     stopping_.store(true, std::memory_order_relaxed);
     for (auto& slot : slots_) slot->cv.notify_all();
 
-    if (listen_fd_ >= 0) {
-        ::shutdown(listen_fd_, SHUT_RDWR);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
+    // Same order as serve::Server: unblock accept(), join the accept
+    // thread, and only then close the fd it reads.
+    ::shutdown(listen_fd_, SHUT_RDWR);
     if (accept_thread_.joinable()) accept_thread_.join();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
     if (health_thread_.joinable()) health_thread_.join();
 
     // Drain-all-then-exit: every request already forwarded gets its

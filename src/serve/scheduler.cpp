@@ -43,14 +43,13 @@ Json vector_json(const std::vector<double>& v, std::size_t begin,
     return arr;
 }
 
-/// Derived micro-batch row budget. The fused simd kernels have much lower
-/// per-row cost, so coalescing twice as many rows per dispatch keeps the
-/// pool saturated; responses are unaffected — §10.4 guarantees byte-equal
-/// results at any batch size, so this only moves wall-clock.
+/// Derived micro-batch row budget. The fused value kernels have a low
+/// per-row cost, so coalescing twice the pool's preferred rows per dispatch
+/// keeps it saturated; responses are unaffected — §10.4 guarantees
+/// byte-equal results at any batch size, so this only moves wall-clock.
 std::size_t derived_batch_rows(const SchedulerConfig& cfg) {
     if (cfg.max_batch_rows > 0) return cfg.max_batch_rows;
-    const std::size_t base = parallel::preferred_batch_rows();
-    return linalg::kernels::simd_active() ? 2 * base : base;
+    return 2 * parallel::preferred_batch_rows();
 }
 
 }  // namespace

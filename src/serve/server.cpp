@@ -198,19 +198,17 @@ void Server::request_shutdown() {
     wait_cv_.notify_all();
 }
 
-void Server::close_listener() {
-    if (listen_fd_ >= 0) {
-        ::shutdown(listen_fd_, SHUT_RDWR);  // unblocks accept() on Linux
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
-}
-
 void Server::shutdown() {
     if (stopped_.exchange(true)) return;
     request_shutdown();
-    close_listener();
+    // shutdown() only unblocks accept() (on Linux); the fd is closed after
+    // the accept thread is joined, so accept_loop never reads listen_fd_
+    // while it is written and never calls accept() on a closed descriptor
+    // whose number another open may already have reused.
+    ::shutdown(listen_fd_, SHUT_RDWR);
     if (accept_thread_.joinable()) accept_thread_.join();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
 
     // Drain + stop the scheduler first: every in-flight future resolves, so
     // connection writers cannot block on get() below.

@@ -67,7 +67,6 @@ private:
 
     void accept_loop();
     void serve_connection(Connection& conn);
-    void close_listener();
 
     ServerConfig cfg_;
     ModelRegistry registry_;

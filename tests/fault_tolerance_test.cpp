@@ -367,34 +367,22 @@ TEST(FaultInjector, GuardReportMatchesInjectorLedgerExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Gradient clipping modes (satellite: global-norm vs legacy per-value)
+// Global-norm gradient clipping
 // ---------------------------------------------------------------------------
 
-TEST(GradClip, GlobalNormPreservesDirectionPerValueDoesNot) {
+TEST(GradClip, GlobalNormPreservesDirection) {
     linalg::Matrix value(1, 2);
     autodiff::Var p(value, /*requires_grad=*/true);
-
-    auto set_grad = [&]() {
-        linalg::Matrix g(1, 2);
-        g(0, 0) = 30.0;
-        g(0, 1) = 40.0;  // global L2 norm 50, direction (0.6, 0.8)
-        p.node()->grad = g;
-    };
+    linalg::Matrix g(1, 2);
+    g(0, 0) = 30.0;
+    g(0, 1) = 40.0;  // global L2 norm 50, direction (0.6, 0.8)
+    p.node()->grad = g;
 
     nn::Adam opt({p}, 1e-3);
-    set_grad();
-    const double norm =
-        opt.clip_gradients(nn::GradClipMode::kGlobalNorm, 5.0);
+    const double norm = opt.clip_grad_norm(5.0);
     EXPECT_DOUBLE_EQ(norm, 50.0);  // returns the pre-clip norm
     EXPECT_NEAR(p.grad()(0, 0), 3.0, 1e-12);
     EXPECT_NEAR(p.grad()(0, 1), 4.0, 1e-12);  // direction preserved
-
-    set_grad();
-    const double norm2 =
-        opt.clip_gradients(nn::GradClipMode::kPerValue, 5.0);
-    EXPECT_DOUBLE_EQ(norm2, 50.0);
-    EXPECT_DOUBLE_EQ(p.grad()(0, 0), 5.0);
-    EXPECT_DOUBLE_EQ(p.grad()(0, 1), 5.0);  // legacy clamp distorts direction
 }
 
 TEST(GradClip, NoScalingBelowThreshold) {
@@ -405,62 +393,15 @@ TEST(GradClip, NoScalingBelowThreshold) {
     g(0, 1) = 0.4;
     p.node()->grad = g;
     nn::Adam opt({p}, 1e-3);
-    EXPECT_DOUBLE_EQ(opt.clip_gradients(nn::GradClipMode::kGlobalNorm, 5.0),
-                     0.5);
+    EXPECT_DOUBLE_EQ(opt.clip_grad_norm(5.0), 0.5);
     EXPECT_DOUBLE_EQ(p.grad()(0, 0), 0.3);
     EXPECT_DOUBLE_EQ(p.grad()(0, 1), 0.4);
 }
 
-TEST(GradClip, ExplodeLimitIsModeAware) {
-    // Global-norm: limit and norm share a scale, so the threshold is
-    // exactly factor * clip — bitwise, to keep historical runs identical.
-    EXPECT_EQ(nn::grad_explode_limit(nn::GradClipMode::kGlobalNorm, 0.5, 2.0,
-                                     10000),
-              2.0 * 0.5);
-
-    // Per-value: a uniform gradient of magnitude `clip` per component is
-    // perfectly healthy yet has norm clip * sqrt(P). With P = 10000,
-    // clip = 0.5, factor = 2 the old mode-blind threshold (factor * clip
-    // = 1) would flag a norm of 50 — a gradient the clip itself considers
-    // in-bounds — as an explosion. The mode-aware limit is
-    // factor * clip * sqrt(P) = 100.
-    const double per_value =
-        nn::grad_explode_limit(nn::GradClipMode::kPerValue, 0.5, 2.0, 10000);
-    EXPECT_DOUBLE_EQ(per_value, 100.0);
-    const double healthy_norm = 0.5 * std::sqrt(10000.0);  // = 50
-    EXPECT_GT(healthy_norm, 2.0 * 0.5);  // the old threshold misfired here
-    EXPECT_LE(healthy_norm, per_value);  // the mode-aware one does not
-
-    // Degenerate parameter count clamps to 1 instead of collapsing to 0.
-    EXPECT_DOUBLE_EQ(
-        nn::grad_explode_limit(nn::GradClipMode::kPerValue, 0.5, 2.0, 0),
-        1.0);
-}
-
-// End-to-end regression for the mode mismatch: a run whose gradients are
-// legitimately above factor*clip in norm (but per-component in bounds)
-// must not be rolled back under kPerValue clipping.
-TEST(GradClip, PerValueModeDoesNotTriggerSpuriousRollback) {
-    HalfSpace2D prob(2.5);
-    NofisConfig cfg = small_config();
-    cfg.grad_clip_mode = nn::GradClipMode::kPerValue;
-    // This trajectory's pre-clip norms exceed 26 (its ~2.7k parameters put
-    // even component-wise-modest gradients at norm ~ clip*sqrt(P)), so the
-    // old mode-blind threshold factor*clip = 2.5 misfired on every stage.
-    // The mode-aware limit factor*clip*sqrt(P) ≈ 130 correctly reads the
-    // same gradients as healthy.
-    cfg.grad_clip = 5.0;
-    cfg.grad_explode_factor = 0.5;
-    cfg.stage_max_retries = 2;
-    NofisEstimator est(cfg, LevelSchedule::manual({1.5, 0.7, 0.0}));
-    rng::Engine eng(3);
-    const auto run = est.run(prob, eng);
-    EXPECT_EQ(run.health.stage_retries, 0u)
-        << "healthy per-value-clipped gradients were misread as explosions";
-    for (const auto& s : run.stages) {
-        EXPECT_EQ(s.retries, 0u) << "stage " << s.stage;
-        EXPECT_EQ(s.skipped_epochs, 0u) << "stage " << s.stage;
-    }
+TEST(GradClip, ExplodeLimitIsFactorTimesClip) {
+    // Limit and norm share a scale, so the threshold is exactly
+    // factor * clip — bitwise, to keep historical runs identical.
+    EXPECT_EQ(nn::grad_explode_limit(0.5, 2.0), 2.0 * 0.5);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 #include <cmath>
 
 #include "autodiff/gradcheck.hpp"
+#include "flow/additive_coupling.hpp"
 #include "flow/coupling.hpp"
 #include "flow/coupling_stack.hpp"
+#include "flow/rqs_coupling.hpp"
 #include "linalg/lu.hpp"
 #include "nn/optimizer.hpp"
 #include "rng/normal.hpp"
@@ -45,14 +47,19 @@ TEST(Coupling, FreshLayerIsIdentity) {
 TEST(Coupling, MaskPartitionCoversAllCoordinates) {
     Engine eng(2);
     for (std::size_t dim : {2u, 3u, 5u, 8u}) {
-        AffineCoupling layer(dim, false, {8}, eng);
-        std::vector<bool> seen(dim, false);
-        for (auto i : layer.pass_indices()) seen[i] = true;
-        for (auto i : layer.transform_indices()) {
-            EXPECT_FALSE(seen[i]);
-            seen[i] = true;
+        const AffineCoupling affine(dim, false, {8}, eng);
+        const flow::AdditiveCoupling additive(dim, false, {8}, eng);
+        const flow::RqsCoupling rqs(dim, false, {8}, eng);
+        const flow::MaskedCoupling* layers[] = {&affine, &additive, &rqs};
+        for (const auto* layer : layers) {
+            std::vector<bool> seen(dim, false);
+            for (auto i : layer->pass_indices()) seen[i] = true;
+            for (auto i : layer->transform_indices()) {
+                EXPECT_FALSE(seen[i]);
+                seen[i] = true;
+            }
+            for (bool s : seen) EXPECT_TRUE(s);
         }
-        for (bool s : seen) EXPECT_TRUE(s);
     }
 }
 

@@ -670,6 +670,29 @@ TEST_F(ServeFixture, ServeTcpEndToEndPipelinedAndCleanShutdown) {
     server.shutdown();
 }
 
+// Teardown must not race the accept loop, which reads the listening fd
+// until it is joined (the thread sanitizer build checks this). Alternates an
+// idle listener with one that has just served a connection.
+TEST_F(ServeFixture, ServerRepeatedStartShutdownIsRaceFree) {
+    serve::ServerConfig cfg;
+    cfg.model_dir = dir_;
+    cfg.port = 0;
+    for (int iter = 0; iter < 20; ++iter) {
+        serve::Server server(cfg);
+        ASSERT_GT(server.port(), 0);
+        if (iter % 2 == 1) {
+            serve::TcpClient client("127.0.0.1", server.port());
+            Request ping;
+            ping.op = Op::kPing;
+            ping.id = static_cast<std::uint64_t>(iter);
+            const Response pong = client.call(ping);
+            EXPECT_TRUE(pong.ok);
+            EXPECT_EQ(pong.id, static_cast<std::uint64_t>(iter));
+        }
+        server.shutdown();
+    }
+}
+
 TEST_F(ServeFixture, ServerSurvivesClientDisconnectMidRequest) {
     serve::ServerConfig cfg;
     cfg.model_dir = dir_;
