@@ -19,9 +19,11 @@ constexpr std::uint32_t kVersion = 1;
 constexpr const char* kExtension = ".nofisckpt";
 constexpr const char* kPrefix = "ckpt-";
 
-std::uint64_t fnv1a(const void* data, std::size_t n) noexcept {
+/// FNV-1a, continuing from `h`: the snapshot checksum and the run
+/// fingerprint hash.
+std::uint64_t fnv1a(const void* data, std::size_t n,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) noexcept {
     const auto* p = static_cast<const unsigned char*>(data);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
     for (std::size_t i = 0; i < n; ++i) {
         h ^= p[i];
         h *= 0x100000001b3ULL;
@@ -31,46 +33,34 @@ std::uint64_t fnv1a(const void* data, std::size_t n) noexcept {
 
 // --- encoding ----------------------------------------------------------
 
-void put_u64(std::string& out, std::uint64_t v) {
-    char buf[8];
-    std::memcpy(buf, &v, 8);
-    out.append(buf, 8);
+/// A fixed-width field as its raw bytes (doubles keep their bit pattern).
+template <class T>
+void put_raw(std::string& out, T v) {
+    char buf[sizeof(T)];
+    std::memcpy(buf, &v, sizeof(T));
+    out.append(buf, sizeof(T));
 }
 
-void put_u8(std::string& out, std::uint8_t v) {
-    out.push_back(static_cast<char>(v));
-}
-
-void put_f64(std::string& out, double v) {
-    char buf[8];
-    std::memcpy(buf, &v, 8);
-    out.append(buf, 8);
-}
+void put_u64(std::string& out, std::uint64_t v) { put_raw(out, v); }
+void put_u8(std::string& out, std::uint8_t v) { put_raw(out, v); }
+void put_f64(std::string& out, double v) { put_raw(out, v); }
 
 void put_string(std::string& out, const std::string& s) {
     put_u64(out, s.size());
     out.append(s);
 }
 
-void put_f64_vec(std::string& out, const std::vector<double>& v) {
+/// Count-prefixed list: u64 size, then each element.
+template <class T, class PutOne>
+void put_list(std::string& out, const std::vector<T>& v, PutOne put_one) {
     put_u64(out, v.size());
-    for (double x : v) put_f64(out, x);
-}
-
-void put_string_vec(std::string& out, const std::vector<std::string>& v) {
-    put_u64(out, v.size());
-    for (const auto& s : v) put_string(out, s);
+    for (const T& x : v) put_one(out, x);
 }
 
 void put_matrix(std::string& out, const linalg::Matrix& m) {
     put_u64(out, m.rows());
     put_u64(out, m.cols());
     for (double x : m.flat()) put_f64(out, x);
-}
-
-void put_matrix_vec(std::string& out, const std::vector<linalg::Matrix>& v) {
-    put_u64(out, v.size());
-    for (const auto& m : v) put_matrix(out, m);
 }
 
 void put_fault_report(std::string& out, const estimators::FaultReport& r) {
@@ -83,23 +73,23 @@ void put_fault_report(std::string& out, const estimators::FaultReport& r) {
     put_u8(out, r.has_first ? 1 : 0);
     put_u64(out, static_cast<std::uint64_t>(r.first_kind));
     put_string(out, r.first_message);
-    put_f64_vec(out, r.first_x);
+    put_list(out, r.first_x, put_f64);
     put_u64(out, r.first_call_index);
 }
 
-void put_stage_record(std::string& out, const StageRecord& s) {
+void put_stage(std::string& out, const core::StageDiagnostics& s) {
     put_u64(out, s.stage);
     put_f64(out, s.level);
-    put_f64_vec(out, s.epoch_loss);
+    put_list(out, s.epoch_loss, put_f64);
     put_f64(out, s.inside_fraction);
     put_u64(out, s.retries);
-    put_string_vec(out, s.retry_reasons);
+    put_list(out, s.retry_reasons, put_string);
     put_u64(out, s.skipped_epochs);
 }
 
 void put_opt_state(std::string& out, const nn::OptimizerState& s) {
     put_u64(out, static_cast<std::uint64_t>(s.step_count));
-    put_matrix_vec(out, s.slots);
+    put_list(out, s.slots, put_matrix);
 }
 
 // --- decoding ----------------------------------------------------------
@@ -111,24 +101,17 @@ class Reader {
 public:
     Reader(const char* data, std::size_t size) : p_(data), end_(data + size) {}
 
-    std::uint64_t u64() {
-        need(8);
-        std::uint64_t v;
-        std::memcpy(&v, p_, 8);
-        p_ += 8;
+    template <class T>
+    T raw() {
+        need(sizeof(T));
+        T v{};
+        std::memcpy(&v, p_, sizeof(T));
+        p_ += sizeof(T);
         return v;
     }
-    std::uint8_t u8() {
-        need(1);
-        return static_cast<std::uint8_t>(*p_++);
-    }
-    double f64() {
-        need(8);
-        double v;
-        std::memcpy(&v, p_, 8);
-        p_ += 8;
-        return v;
-    }
+    std::uint64_t u64() { return raw<std::uint64_t>(); }
+    std::uint8_t u8() { return raw<std::uint8_t>(); }
+    double f64() { return raw<double>(); }
     std::string str() {
         const std::uint64_t n = u64();
         need(n);
@@ -136,36 +119,32 @@ public:
         p_ += n;
         return s;
     }
-    std::vector<double> f64_vec() {
-        const std::uint64_t n = u64();
-        need(n * 8);
-        std::vector<double> v(n);
-        for (auto& x : v) x = f64();
-        return v;
-    }
-    std::vector<std::string> str_vec() {
+    /// Count-prefixed list. Every element takes at least one byte, so a
+    /// count beyond the remaining bytes is damage.
+    template <class ReadOne>
+    auto list(ReadOne read_one) {
         const std::uint64_t n = u64();
         if (n > remaining()) throw Truncated{};
-        std::vector<std::string> v;
+        std::vector<decltype(read_one())> v;
         v.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) v.push_back(str());
+        for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_one());
         return v;
     }
     linalg::Matrix matrix() {
         const std::uint64_t rows = u64();
         const std::uint64_t cols = u64();
-        need(rows * cols * 8);
+        // Bound the shape by the bytes left without forming rows * cols * 8,
+        // which a hostile shape can wrap around to a small number.
+        if (cols != 0 && rows > remaining() / 8 / cols) throw Truncated{};
         linalg::Matrix m(rows, cols);
         for (double& x : m.flat()) x = f64();
         return m;
     }
+    std::vector<double> f64_vec() {
+        return list([this] { return f64(); });
+    }
     std::vector<linalg::Matrix> matrix_vec() {
-        const std::uint64_t n = u64();
-        if (n > remaining()) throw Truncated{};
-        std::vector<linalg::Matrix> v;
-        v.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) v.push_back(matrix());
-        return v;
+        return list([this] { return matrix(); });
     }
     estimators::FaultReport fault_report() {
         estimators::FaultReport r;
@@ -187,14 +166,14 @@ public:
         r.first_call_index = u64();
         return r;
     }
-    StageRecord stage_record() {
-        StageRecord s;
+    core::StageDiagnostics stage() {
+        core::StageDiagnostics s;
         s.stage = u64();
         s.level = f64();
         s.epoch_loss = f64_vec();
         s.inside_fraction = f64();
         s.retries = u64();
-        s.retry_reasons = str_vec();
+        s.retry_reasons = list([this] { return str(); });
         s.skipped_epochs = u64();
         return s;
     }
@@ -260,21 +239,18 @@ void on_stop_signal(int) {
 std::string encode_snapshot(const TrainSnapshot& s) {
     std::string out;
     out.append(kMagic, sizeof(kMagic));
-    char vbuf[4];
-    std::memcpy(vbuf, &kVersion, 4);
-    out.append(vbuf, 4);
+    put_raw(out, kVersion);
     put_u64(out, s.fingerprint);
     put_u64(out, s.next_stage);
-    put_matrix_vec(out, s.params);
-    put_f64_vec(out, s.scale_caps);
+    put_list(out, s.params, put_matrix);
+    put_list(out, s.scale_caps, put_f64);
     for (std::uint64_t w : s.rng_state) put_u64(out, w);
-    put_u64(out, s.guard_call_index);
-    put_fault_report(out, s.guard_report);
+    put_u64(out, s.guard.call_index);
+    put_fault_report(out, s.guard.report);
     put_u64(out, s.train_g_calls);
     put_u64(out, s.g_grad_calls);
     put_u64(out, s.cached_hits);
-    put_u64(out, s.stages.size());
-    for (const auto& st : s.stages) put_stage_record(out, st);
+    put_list(out, s.stages, put_stage);
     put_u8(out, s.has_partial ? 1 : 0);
     if (s.has_partial) {
         put_u64(out, s.next_epoch);
@@ -283,8 +259,8 @@ std::string encode_snapshot(const TrainSnapshot& s) {
         put_f64(out, s.attempt_clip);
         put_f64(out, s.stage_lr);
         put_opt_state(out, s.opt_state);
-        put_matrix_vec(out, s.stage_start_params);
-        put_stage_record(out, s.partial);
+        put_list(out, s.stage_start_params, put_matrix);
+        put_stage(out, s.partial);
     }
     put_u64(out, fnv1a(out.data(), out.size()));
     return out;
@@ -313,16 +289,12 @@ std::optional<TrainSnapshot> decode_snapshot(const std::string& bytes) {
         s.params = r.matrix_vec();
         s.scale_caps = r.f64_vec();
         for (auto& w : s.rng_state) w = r.u64();
-        s.guard_call_index = r.u64();
-        s.guard_report = r.fault_report();
+        s.guard.call_index = r.u64();
+        s.guard.report = r.fault_report();
         s.train_g_calls = r.u64();
         s.g_grad_calls = r.u64();
         s.cached_hits = r.u64();
-        const std::uint64_t stage_count = r.u64();
-        s.stages.reserve(static_cast<std::size_t>(
-            std::min<std::uint64_t>(stage_count, 4096)));
-        for (std::uint64_t i = 0; i < stage_count; ++i)
-            s.stages.push_back(r.stage_record());
+        s.stages = r.list([&r] { return r.stage(); });
         s.has_partial = r.u8() != 0;
         if (s.has_partial) {
             s.next_epoch = r.u64();
@@ -332,7 +304,7 @@ std::optional<TrainSnapshot> decode_snapshot(const std::string& bytes) {
             s.stage_lr = r.f64();
             s.opt_state = r.opt_state();
             s.stage_start_params = r.matrix_vec();
-            s.partial = r.stage_record();
+            s.partial = r.stage();
         }
         if (!r.done()) return std::nullopt;
         return s;
@@ -397,27 +369,19 @@ std::optional<TrainSnapshot> CheckpointDir::load_latest(
 }
 
 FingerprintBuilder& FingerprintBuilder::add(std::uint64_t v) noexcept {
-    add_bytes(&v, sizeof(v));
+    hash_ = fnv1a(&v, sizeof(v), hash_);
     return *this;
 }
 
 FingerprintBuilder& FingerprintBuilder::add(double v) noexcept {
-    add_bytes(&v, sizeof(v));
+    hash_ = fnv1a(&v, sizeof(v), hash_);
     return *this;
 }
 
 FingerprintBuilder& FingerprintBuilder::add(const std::string& s) noexcept {
     add(static_cast<std::uint64_t>(s.size()));
-    add_bytes(s.data(), s.size());
+    hash_ = fnv1a(s.data(), s.size(), hash_);
     return *this;
-}
-
-void FingerprintBuilder::add_bytes(const void* data, std::size_t n) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        hash_ ^= p[i];
-        hash_ *= 0x100000001b3ULL;
-    }
 }
 
 void install_stop_handlers() {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/diagnostics.hpp"
 #include "estimators/guarded_problem.hpp"
 #include "linalg/matrix.hpp"
 #include "nn/optimizer.hpp"
@@ -49,41 +50,29 @@ struct SimulatedCrash : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
-/// Per-stage training record persisted in snapshots. Mirrors
-/// core::StageDiagnostics field-for-field; duplicated here (rather than
-/// included) because nofis_core links against this library, not the other
-/// way around.
-struct StageRecord {
-    std::size_t stage = 0;
-    double level = 0.0;
-    std::vector<double> epoch_loss;  ///< NaN sentinels preserved bit-exact
-    double inside_fraction = 0.0;
-    std::size_t retries = 0;
-    std::vector<std::string> retry_reasons;
-    std::size_t skipped_epochs = 0;
-};
-
-/// Everything needed to continue a NofisEstimator::run bitwise-identically
-/// from a stage boundary (or, with has_partial, from an epoch boundary
-/// inside a stage): flow parameters and retry-tightened scale caps, the
-/// RNG stream position, the fault guard's call index and ledger, g-call
-/// accounting, completed stage diagnostics, and — for mid-stage snapshots —
-/// the Adam moments, decayed learning rate, attempt counters, and the
-/// stage's rollback anchor.
+/// The state of one NofisEstimator::run and the unit it persists. The run
+/// reads and writes one in place; a snapshot is a copy with the fields
+/// owned by live objects filled in (flow parameters and retry-tightened
+/// scale caps, RNG words, guard state and, mid-stage, the Adam moments).
+/// With has_partial it continues from epoch `next_epoch` inside stage
+/// `next_stage`; without, from the start of stage `next_stage`.
 struct TrainSnapshot {
     std::uint64_t fingerprint = 0;  ///< run identity (config + levels + salt)
     std::uint64_t next_stage = 1;   ///< 1-based; num_stages+1 = training done
     std::vector<linalg::Matrix> params;
     std::vector<double> scale_caps;
     std::array<std::uint64_t, 4> rng_state{};
-    std::uint64_t guard_call_index = 0;
-    estimators::FaultReport guard_report;
+    estimators::GuardedProblem::GuardState guard;  ///< call index + ledger
     std::uint64_t train_g_calls = 0;
     std::uint64_t g_grad_calls = 0;
-    std::uint64_t cached_hits = 0;  ///< evalcache hits before the snapshot
-    std::vector<StageRecord> stages;  ///< completed stages
+    /// Evalcache hits before the snapshot. A live run keeps the baseline
+    /// from earlier incarnations here; capture adds this process's hits.
+    std::uint64_t cached_hits = 0;
+    std::vector<core::StageDiagnostics> stages;  ///< completed stages
 
-    // --- mid-stage (epoch) snapshot extras, valid when has_partial -------
+    // --- mid-stage (epoch) fields; persisted only when has_partial --------
+    /// Set in epoch snapshots. A live run holds it only from resuming such
+    /// a snapshot until the in-flight attempt has re-entered at next_epoch.
     bool has_partial = false;
     std::uint64_t next_epoch = 0;
     std::uint64_t attempt = 0;
@@ -92,7 +81,7 @@ struct TrainSnapshot {
     double stage_lr = 0.0;      ///< decayed per-epoch lr, mid-attempt
     nn::OptimizerState opt_state;
     std::vector<linalg::Matrix> stage_start_params;  ///< rollback anchor
-    StageRecord partial;  ///< in-flight stage diagnostics so far
+    core::StageDiagnostics partial;  ///< in-flight stage diagnostics so far
 };
 
 /// Binary serialisation of one snapshot: magic "NOFISCKP" | u32 version |
@@ -129,7 +118,6 @@ public:
     /// Snapshot files written by this object (the crash_after_snapshots
     /// test hook counts these).
     std::size_t writes() const noexcept { return writes_; }
-    const std::string& dir() const noexcept { return dir_; }
 
 private:
     std::string dir_;
@@ -149,7 +137,6 @@ public:
     std::uint64_t value() const noexcept { return hash_; }
 
 private:
-    void add_bytes(const void* data, std::size_t n) noexcept;
     std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 

@@ -5,6 +5,7 @@
 #include <exception>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "autodiff/ops.hpp"
 #include "dist/diag_gaussian.hpp"
@@ -27,30 +28,6 @@ using linalg::Matrix;
 /// min(τ(a - g), 0): the tempered log-weight of Eq. (6)/(9).
 double tempered_log_weight(double tau, double a, double g) {
     return std::min(tau * (a - g), 0.0);
-}
-
-checkpoint::StageRecord to_record(const StageDiagnostics& d) {
-    checkpoint::StageRecord r;
-    r.stage = d.stage;
-    r.level = d.level;
-    r.epoch_loss = d.epoch_loss;
-    r.inside_fraction = d.inside_fraction;
-    r.retries = d.retries;
-    r.retry_reasons = d.retry_reasons;
-    r.skipped_epochs = d.skipped_epochs;
-    return r;
-}
-
-StageDiagnostics to_diagnostics(const checkpoint::StageRecord& r) {
-    StageDiagnostics d;
-    d.stage = r.stage;
-    d.level = r.level;
-    d.epoch_loss = r.epoch_loss;
-    d.inside_fraction = r.inside_fraction;
-    d.retries = r.retries;
-    d.retry_reasons = r.retry_reasons;
-    d.skipped_epochs = r.skipped_epochs;
-    return d;
 }
 
 /// Identity of a run for checkpoint purposes: every config field that
@@ -117,6 +94,486 @@ std::uint64_t run_fingerprint(const NofisConfig& cfg,
     return fp.value();
 }
 
+/// n draws from the defensive mixture q = (1-w)·q_MK + w·N(0, s²I), with
+/// exact mixture log-densities. Components are chosen per draw and the flow
+/// draws are batched.
+flow::CouplingStack::Samples sample_defensive_mixture(
+    const flow::CouplingStack& trained_flow, rng::Engine& eng, std::size_t n,
+    double weight, double sigma) {
+    const std::size_t blocks = trained_flow.num_blocks();
+    const double lw_wide = std::log(weight);
+    const double lw_flow = std::log1p(-weight);
+    const dist::DiagGaussian wide =
+        dist::DiagGaussian::isotropic(trained_flow.dim(), sigma);
+    std::vector<bool> from_wide(n);
+    std::size_t n_wide = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        from_wide[r] = eng.uniform() < weight;
+        if (from_wide[r]) ++n_wide;
+    }
+    const Matrix zw = wide.sample(eng, n_wide);
+    const auto zf = trained_flow.sample(eng, n - n_wide, blocks);
+    // Cross densities: flow density at wide points needs the inverse path;
+    // wide density anywhere is closed-form.
+    const std::vector<double> flow_at_wide =
+        n_wide > 0 ? trained_flow.log_prob(zw, blocks) : std::vector<double>{};
+    flow::CouplingStack::Samples out{Matrix(n, trained_flow.dim()),
+                                     std::vector<double>(n)};
+    std::size_t iw = 0;
+    std::size_t jf = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        const bool is_wide = from_wide[r];
+        const auto row = is_wide ? zw.row_span(iw) : zf.z.row_span(jf);
+        std::copy(row.begin(), row.end(), out.z.row_span(r).begin());
+        const double a =
+            lw_flow + (is_wide ? flow_at_wide[iw++] : zf.log_q[jf++]);
+        const double b = lw_wide + wide.log_pdf(row);
+        const double m = std::max(a, b);
+        out.log_q[r] = m + std::log(std::exp(a - m) + std::exp(b - m));
+    }
+    return out;
+}
+
+RunHealth run_health(const estimators::FaultReport& faults,
+                     const std::vector<StageDiagnostics>& stages,
+                     const IsDiagnostics& is_diag) {
+    RunHealth health;
+    health.faults = faults;
+    health.g_retry_calls = faults.retry_attempts;
+    for (const auto& s : stages) {
+        health.stage_retries += s.retries;
+        if (s.retries > 0) ++health.stages_rolled_back;
+        health.skipped_epochs += s.skipped_epochs;
+    }
+    health.final_ess = is_diag.effective_sample_size;
+    health.ess_all = is_diag.ess_all;
+    health.max_weight = is_diag.max_weight;
+    health.weight_cv = is_diag.weight_cv;
+    return health;
+}
+
+/// Folds the run's health ledger and proposal-quality numbers into the
+/// active telemetry record (counters accumulate across repeated runs;
+/// metrics hold the last run's values).
+void record_run_telemetry(const EstimateResult& est, const RunHealth& health,
+                          const IsDiagnostics& is_diag) {
+    evalcache::report_call_split(est.calls, est.cached_calls);
+    telemetry::RunTrace* tr = telemetry::active();
+    if (tr == nullptr) return;
+    tr->add_counter("calls", est.calls);
+    tr->add_counter("g_retry_calls", health.g_retry_calls);
+    tr->add_counter("stage_retries", health.stage_retries);
+    tr->add_counter("stages_rolled_back", health.stages_rolled_back);
+    tr->add_counter("skipped_epochs", health.skipped_epochs);
+    tr->add_counter("faults.total", health.faults.total_faults());
+    using estimators::FaultKind;
+    for (std::size_t k = 0; k < static_cast<std::size_t>(FaultKind::kCount);
+         ++k) {
+        const auto kind = static_cast<FaultKind>(k);
+        if (health.faults.count(kind) > 0)
+            tr->add_counter(
+                std::string("faults.") + estimators::fault_kind_name(kind),
+                health.faults.count(kind));
+    }
+    tr->set_metric("p_hat", est.p_hat);
+    tr->set_metric("ess_hits", health.final_ess);
+    tr->set_metric("ess_all", health.ess_all);
+    tr->set_metric("max_weight", health.max_weight);
+    tr->set_metric("weight_cv", health.weight_cv);
+    tr->set_metric("is_hits", static_cast<double>(is_diag.hits));
+    tr->set_metric("is_draws", static_cast<double>(is_diag.draws));
+}
+
+std::optional<evalcache::CachedProblem> open_cache(
+    const NofisConfig& cfg, const estimators::RareEventProblem& problem) {
+    if (!cfg.cache) return std::nullopt;
+    const std::string key = cfg.cache_key.empty()
+                                ? "anon#d" + std::to_string(problem.dim())
+                                : cfg.cache_key;
+    return std::optional<evalcache::CachedProblem>(std::in_place, problem,
+                                                   cfg.cache, key);
+}
+
+/// Black-box target term of one epoch's KL loss, already scaled by 1/N:
+/// the mean tempered log-target (the loss report), its gradient ∂T/∂z that
+/// dot_constant injects into the graph, and the fraction of rows in Ω_{a_m}.
+struct TargetTerm {
+    Matrix grad;
+    double value = 0.0;
+    double inside = 0.0;
+};
+
+/// One NofisEstimator::run: Algorithm 1 under the fault guard, the optional
+/// evaluation cache and checkpointing. The run's progress lives in `st_`,
+/// the same TrainSnapshot it persists, and the stage/attempt/epoch
+/// functions read and write it in place. Capturing a snapshot copies `st_`
+/// and fills the fields owned by live objects; resuming assigns a loaded
+/// snapshot and pushes those fields back. Not copyable: the guard refers to
+/// the cache decorator beside it.
+class TrainingRun {
+public:
+    TrainingRun(const NofisConfig& cfg, const LevelSchedule& levels,
+                const estimators::RareEventProblem& problem, rng::Engine& eng)
+        : cfg_(cfg),
+          levels_(levels),
+          eng_(eng),
+          cached_(open_cache(cfg, problem)),
+          // Guarded(Cached(problem)): the cache sits closest to the
+          // expensive g, so the guard's retry probes consult it too and
+          // only raw simulator outputs are ever stored. A fault-free run is
+          // bit-identical to the unguarded path.
+          guarded_(cached_ ? static_cast<const estimators::RareEventProblem&>(
+                                 *cached_)
+                           : problem,
+                   cfg.guard) {
+        flow::StackConfig scfg;
+        scfg.dim = problem.dim();
+        scfg.num_blocks = levels.num_levels();
+        scfg.layers_per_block = cfg.layers_per_block;
+        scfg.hidden = cfg.hidden;
+        scfg.scale_cap = cfg.scale_cap;
+        scfg.coupling = cfg.coupling;
+        scfg.use_actnorm = cfg.use_actnorm;
+        scfg.rqs_bins = cfg.rqs_bins;
+        scfg.rqs_tail = cfg.rqs_tail;
+        rng::Engine init_eng = eng.split();
+        stack_ = std::make_unique<flow::CouplingStack>(scfg, init_eng);
+    }
+    TrainingRun(const TrainingRun&) = delete;
+    TrainingRun& operator=(const TrainingRun&) = delete;
+
+    /// Opens the checkpoint directory and, with resume on, continues from
+    /// its newest valid snapshot (DESIGN.md §12).
+    void resume_or_start() {
+        const checkpoint::CheckpointConfig& ck = cfg_.checkpoint;
+        if (!ck.enabled()) return;
+        st_.fingerprint = run_fingerprint(cfg_, levels_, stack_->dim());
+        ckdir_.emplace(ck.dir, ck.keep);
+        std::optional<checkpoint::TrainSnapshot> loaded;
+        if (ck.resume) loaded = ckdir_->load_latest(st_.fingerprint);
+        if (!loaded) return;
+        // From here on the process is indistinguishable from one that never
+        // stopped. The two telemetry counts re-seed this process's fresh
+        // RunTrace with the pre-snapshot tallies so end-of-run counters
+        // match an uninterrupted run.
+        st_ = std::move(*loaded);
+        flow::restore_params(*stack_, st_.params);
+        stack_->set_scale_caps(st_.scale_caps);
+        eng_.set_state(st_.rng_state);
+        guarded_.import_state(st_.guard);
+        if (st_.train_g_calls > 0)
+            telemetry::count("g_calls.train", st_.train_g_calls);
+        if (st_.g_grad_calls > 0)
+            telemetry::count("g_grad_calls", st_.g_grad_calls);
+    }
+
+    /// Stages next_stage..M. Returns true when a stop request ended
+    /// training early at a stage boundary.
+    bool train() {
+        const telemetry::ScopedSpan train_span("train");
+        for (std::size_t m = st_.next_stage; m <= levels_.num_levels(); ++m) {
+            // Retries re-enter the same stage span, so its wall-clock covers
+            // every attempt and its phase counts expose the extra epochs.
+            const telemetry::ScopedSpan stage_span("stage_" +
+                                                   std::to_string(m));
+            train_stage(m);
+            // Stage boundary: durably snapshot "about to run stage m+1"
+            // (m+1 = M+1 means only the final IS remains). Honour a pending
+            // SIGINT/SIGTERM here — the stage finished and its snapshot is
+            // on disk, so stopping now loses no work.
+            st_.next_stage = m + 1;
+            if (ckdir_) persist(nullptr);
+            if (checkpoint::stop_requested()) return true;
+        }
+        return false;
+    }
+
+    /// Final importance-sampling estimate with q_MK (Eq. 2), still guarded,
+    /// then the run's health ledger and telemetry.
+    NofisEstimator::RunResult finish(bool interrupted) {
+        NofisEstimator::RunResult result;
+        result.interrupted = interrupted;
+        EstimateResult est;
+        if (interrupted) {
+            // No final IS was spent; report the g-budget consumed so far.
+            // A --resume run picks up from the boundary snapshot and spends
+            // the final IS exactly once.
+            est.failed = true;
+            est.detail = "interrupted by stop request; resume to continue";
+        } else if (cfg_.latent.enabled) {
+            // Latent-space exploration (DESIGN.md §16): the chain budget is
+            // carved out of n_is, so the total g-spend matches plain IS.
+            est = latent::explore_and_estimate(
+                *stack_, guarded_, eng_, cfg_.n_is, cfg_.tau, levels_.level(0),
+                cfg_.latent, &result.is_diag, &result.latent_report);
+        } else {
+            est = NofisEstimator::importance_estimate(
+                *stack_, guarded_, eng_, cfg_.n_is, &result.is_diag,
+                cfg_.defensive_weight, cfg_.defensive_sigma);
+        }
+        // Honest budget: training calls + fault-retry evaluations on top of
+        // the N_IS already counted by the final IS. (g_grad rides on the
+        // value evaluation under the paper's autograd accounting.)
+        est.calls += st_.train_g_calls + guarded_.report().retry_attempts;
+        // Every value arrival at the cache is one of the calls above, so the
+        // cumulative hit tally (pre-snapshot baseline + this process's
+        // decorator) IS the cached share of `calls` (min guards the
+        // invariant against drift). Fresh calls spent before a crash are
+        // never re-counted as fresh, and fresh + cached == total holds.
+        est.cached_calls = cached_ ? std::min<std::size_t>(
+                                         st_.cached_hits + cached_->hits(),
+                                         est.calls)
+                                   : std::size_t{0};
+        result.stages = std::move(st_.stages);
+        result.health = run_health(guarded_.report(), result.stages,
+                                   result.is_diag);
+        if (result.health.degraded() && est.detail.empty())
+            est.detail = result.health.faults.summary();
+        record_run_telemetry(est, result.health, result.is_diag);
+        result.estimate = est;
+        result.flow = std::move(stack_);
+        return result;
+    }
+
+private:
+    /// Stage m: attempts with rollback. A diverged attempt restores the
+    /// stage-start anchor, shrinks lr/clip/scale cap and retries; the last
+    /// attempt runs in skip-bad-epochs mode so the run always completes.
+    void train_stage(std::size_t m) {
+        if (!st_.has_partial) {
+            // Anchor taken before the stage touches any parameter; rolled-
+            // back retries restart training from exactly this state.
+            st_.attempt = 0;
+            st_.attempt_lr = cfg_.learning_rate;
+            st_.attempt_clip = cfg_.grad_clip;
+            st_.stage_start_params = flow::snapshot_params(*stack_);
+            st_.partial = StageDiagnostics{};
+            st_.partial.stage = m;
+            st_.partial.level = levels_.level(m - 1);
+        }
+        for (;; ++st_.attempt) {
+            const bool last_attempt = st_.attempt >= cfg_.stage_max_retries;
+            const char* reason = train_attempt(m, !last_attempt);
+            if (reason == nullptr || last_attempt) break;
+            flow::restore_params(*stack_, st_.stage_start_params);
+            stack_->tighten_scale_cap(m - 1, cfg_.retry_scale_cap_factor);
+            st_.attempt_lr *= cfg_.retry_lr_factor;
+            st_.attempt_clip *= cfg_.retry_grad_clip_factor;
+            ++st_.partial.retries;
+            st_.partial.retry_reasons.emplace_back(reason);
+        }
+        st_.stages.push_back(std::move(st_.partial));
+    }
+
+    /// One training pass over stage m at (attempt_lr, attempt_clip).
+    /// Returns the divergence reason, or nullptr. In abort mode the pass
+    /// stops at the first divergent epoch so the caller can roll back; in
+    /// skip mode (retry budget exhausted) a divergent epoch records a NaN
+    /// loss sentinel instead of poisoning Adam's moments, and the pass
+    /// always completes.
+    const char* train_attempt(std::size_t m, bool abort_on_divergence) {
+        std::vector<Var> train_params;
+        if (cfg_.freeze_previous) {
+            stack_->freeze_blocks_before(m - 1);
+            train_params = stack_->block_params(m - 1);
+        } else {
+            stack_->unfreeze_all();
+            for (std::size_t b = 0; b < m; ++b)
+                for (auto& p : stack_->block_params(b))
+                    train_params.push_back(p);
+        }
+        nn::Adam opt(train_params, st_.attempt_lr);
+        if (st_.has_partial) {
+            // Resumed mid-attempt: re-enter at the recorded epoch with the
+            // snapshot's moments and decayed LR.
+            opt.import_state(st_.opt_state);
+            st_.has_partial = false;
+        } else {
+            st_.next_epoch = 0;
+            st_.stage_lr = st_.attempt_lr;
+            st_.partial.epoch_loss.clear();
+            st_.partial.inside_fraction = 0.0;
+        }
+        const std::size_t start_epoch = st_.next_epoch;
+        const std::size_t every = cfg_.checkpoint.every_epochs;
+        for (std::size_t epoch = start_epoch; epoch < cfg_.epochs; ++epoch) {
+            // Epoch snapshot, taken before any RNG draw so a resumed
+            // process replays the epoch bit-for-bit. `epoch > start_epoch`
+            // skips epoch 0 (the stage-boundary snapshot covers it) and an
+            // immediate rewrite of the snapshot just resumed from.
+            st_.next_epoch = epoch;
+            if (ckdir_ && every > 0 && epoch > start_epoch &&
+                epoch % every == 0)
+                persist(&opt);
+            const char* reason = train_epoch(m, opt, abort_on_divergence);
+            if (reason == nullptr) continue;
+            if (abort_on_divergence) return reason;
+            ++st_.partial.skipped_epochs;
+            st_.partial.epoch_loss.push_back(
+                std::numeric_limits<double>::quiet_NaN());
+        }
+        if (abort_on_divergence &&
+            st_.partial.inside_fraction < cfg_.min_inside_fraction)
+            return "inside-fraction collapse";
+        return nullptr;
+    }
+
+    /// One KL step of stage m: sample → g → ∇g → Adam. Returns the
+    /// divergence reason, or nullptr after recording the epoch's loss.
+    /// Per-phase spans accumulate across the stage's epochs; none touches
+    /// the RNG or the math, so estimates are identical with telemetry off.
+    const char* train_epoch(std::size_t m, nn::Adam& opt,
+                            bool abort_on_divergence) {
+        const std::size_t n = cfg_.samples_per_epoch;
+        const std::size_t block = m - 1;
+        std::optional<telemetry::ScopedSpan> phase;
+        phase.emplace("sample_forward");
+        const Matrix z0 = rng::standard_normal_matrix(eng_, n, stack_->dim());
+        // Frozen prefix on the cheap value path; graph only for the
+        // trainable tail. With NoFreeze everything is in the graph.
+        Matrix z_in = z0;
+        std::vector<double> frozen_log_det(n, 0.0);
+        std::size_t graph_begin = 0;
+        if (cfg_.freeze_previous && block > 0) {
+            z_in = stack_->transport_range(z0, 0, block, frozen_log_det);
+            graph_begin = block;
+        }
+        auto fwd = stack_->forward_range(Var(z_in), graph_begin, m);
+        const Matrix& z = fwd.z.value();
+        phase.reset();
+        if (!z.all_finite()) return "non-finite flow output";
+
+        const TargetTerm target = target_term(z, levels_.level(block));
+        // loss = −mean(log-det) − T. The dot_constant surrogate carries
+        // exactly ∂T/∂z into the graph.
+        Var graph_loss = autodiff::add(
+            autodiff::neg(autodiff::mean(fwd.log_det)),
+            autodiff::neg(autodiff::dot_constant(fwd.z, target.grad)));
+        const double inv_n = 1.0 / static_cast<double>(n);
+        double mean_log_det = fwd.log_det.value().mean();
+        for (double v : frozen_log_det) mean_log_det += v * inv_n;
+        const double true_loss = -mean_log_det - target.value;
+        if (!std::isfinite(true_loss) || !target.grad.all_finite())
+            return "non-finite KL loss";
+
+        phase.emplace("backward");
+        opt.zero_grad();
+        graph_loss.backward();
+        const double grad_norm = opt.clip_grad_norm(st_.attempt_clip);
+        phase.reset();
+        if (abort_on_divergence &&
+            (!std::isfinite(grad_norm) ||
+             grad_norm > nn::grad_explode_limit(st_.attempt_clip,
+                                                cfg_.grad_explode_factor)))
+            return "exploding gradient norm";
+        phase.emplace("optimizer");
+        opt.set_learning_rate(st_.stage_lr);
+        opt.step();
+        st_.stage_lr *= cfg_.lr_decay;
+        phase.reset();
+
+        st_.partial.epoch_loss.push_back(true_loss);
+        st_.partial.inside_fraction = target.inside;
+        return nullptr;
+    }
+
+    /// ∂T/∂z_n = (1/N)(−τ·∇g·1[g>a] − z_n). Pass 1 batches g over all rows
+    /// (parallel, per-row call indices in row order); the reductions run
+    /// serially in row order, so the result is bitwise identical at any
+    /// thread count. Pass 2 batches ∇g for the rows outside Ω_{a_m}.
+    TargetTerm target_term(const Matrix& z, double a_m) {
+        const std::size_t n = z.rows();
+        const std::size_t d = z.cols();
+        std::optional<telemetry::ScopedSpan> phase;
+        phase.emplace("g_eval");
+        st_.train_g_calls += n;
+        telemetry::count("g_calls.train", n);
+        const std::vector<double> g_vals = guarded_.g_rows(z);
+        phase.reset();
+
+        TargetTerm t{Matrix(n, d)};
+        std::vector<std::size_t> grad_rows;
+        for (std::size_t r = 0; r < n; ++r) {
+            const double gv = g_vals[r];
+            if (!std::isfinite(gv)) {
+                // A non-finite g slipped through the guard (propagate
+                // policy): the tempered target is undefined, so poison the
+                // loss instead of silently zeroing the weight.
+                t.value = std::numeric_limits<double>::quiet_NaN();
+            }
+            if (gv <= a_m) t.inside += 1.0;
+            t.value += tempered_log_weight(cfg_.tau, a_m, gv) +
+                       rng::standard_normal_log_pdf(z.row_span(r));
+            if (gv > a_m) grad_rows.push_back(r);
+        }
+
+        // Backward through the same simulation point is free under the
+        // paper's autograd accounting (see RareEventProblem::g_grad). Each
+        // row writes only its own slice, one reserved call index per row.
+        phase.emplace("g_grad");
+        st_.g_grad_calls += grad_rows.size();
+        telemetry::count("g_grad_calls", grad_rows.size());
+        const std::size_t gbase = guarded_.reserve_calls(grad_rows.size());
+        std::vector<std::exception_ptr> errors(grad_rows.size());
+        parallel::parallel_for(
+            grad_rows.size(), [&](std::size_t i0, std::size_t i1) {
+                std::vector<double> grad_buf(d);
+                for (std::size_t i = i0; i < i1; ++i) {
+                    const std::size_t r = grad_rows[i];
+                    try {
+                        guarded_.g_grad_indexed(gbase + i, z.row_span(r),
+                                                grad_buf);
+                        for (std::size_t c = 0; c < d; ++c)
+                            t.grad(r, c) = -cfg_.tau * grad_buf[c];
+                    } catch (...) {
+                        errors[i] = std::current_exception();
+                    }
+                }
+            });
+        parallel::rethrow_first(errors);
+        phase.reset();
+
+        for (std::size_t r = 0; r < n; ++r) {
+            const auto zr = z.row_span(r);
+            for (std::size_t c = 0; c < d; ++c) t.grad(r, c) -= zr[c];
+        }
+        const double inv_n = 1.0 / static_cast<double>(n);
+        t.value *= inv_n;
+        t.grad *= inv_n;
+        t.inside *= inv_n;
+        return t;
+    }
+
+    /// Writes the run state plus the fields owned by live objects. `opt` is
+    /// the in-flight attempt's optimizer for an epoch snapshot, null at a
+    /// stage boundary.
+    void persist(const nn::Adam* opt) {
+        checkpoint::TrainSnapshot s = st_;
+        s.params = flow::snapshot_params(*stack_);
+        s.scale_caps = stack_->scale_caps();
+        s.rng_state = eng_.state();
+        s.guard = guarded_.export_state();
+        s.cached_hits = cached_ ? st_.cached_hits + cached_->hits() : 0;
+        s.has_partial = opt != nullptr;
+        if (opt != nullptr) s.opt_state = opt->export_state();
+        ckdir_->write(s);
+        const std::size_t crash_after = cfg_.checkpoint.crash_after_snapshots;
+        if (crash_after > 0 && ckdir_->writes() >= crash_after)
+            throw checkpoint::SimulatedCrash(
+                "simulated crash after snapshot " +
+                std::to_string(ckdir_->writes()));
+    }
+
+    const NofisConfig& cfg_;
+    const LevelSchedule& levels_;
+    rng::Engine& eng_;
+    std::optional<evalcache::CachedProblem> cached_;
+    estimators::GuardedProblem guarded_;
+    std::unique_ptr<flow::CouplingStack> stack_;
+    std::optional<checkpoint::CheckpointDir> ckdir_;
+    checkpoint::TrainSnapshot st_;
+};
+
 }  // namespace
 
 NofisEstimator::NofisEstimator(NofisConfig cfg, LevelSchedule levels)
@@ -131,487 +588,11 @@ NofisEstimator::RunResult NofisEstimator::run(
     const estimators::RareEventProblem& problem, rng::Engine& eng) const {
     // End-to-end span; "train"/"stage_m"/phases and "final_is" nest inside.
     const telemetry::ScopedSpan run_span("nofis_run");
-    const std::size_t d = problem.dim();
-    const std::size_t num_stages = levels_.num_levels();
     if (cfg_.threads > 0) parallel::set_num_threads(cfg_.threads);
-    // Optional memoization tier: the cache sits closest to the expensive g,
-    // so the guard's retry probes consult it too and only raw simulator
-    // outputs are ever stored (Guarded(Cached(problem)) composition).
-    std::optional<evalcache::CachedProblem> cached;
-    if (cfg_.cache) {
-        const std::string key = cfg_.cache_key.empty()
-                                    ? "anon#d" + std::to_string(d)
-                                    : cfg_.cache_key;
-        cached.emplace(problem, cfg_.cache, key);
-    }
-    const estimators::RareEventProblem& eval_problem =
-        cached ? static_cast<const estimators::RareEventProblem&>(*cached)
-               : problem;
-    // Every g / g_grad evaluation goes through the fault guard; faults are
-    // resolved per cfg_.guard and tallied for RunHealth. A fault-free run
-    // is bit-identical to the unguarded path.
-    estimators::GuardedProblem guarded(eval_problem, cfg_.guard);
-
-    flow::StackConfig scfg;
-    scfg.dim = d;
-    scfg.num_blocks = num_stages;
-    scfg.layers_per_block = cfg_.layers_per_block;
-    scfg.hidden = cfg_.hidden;
-    scfg.scale_cap = cfg_.scale_cap;
-    scfg.coupling = cfg_.coupling;
-    scfg.use_actnorm = cfg_.use_actnorm;
-    scfg.rqs_bins = cfg_.rqs_bins;
-    scfg.rqs_tail = cfg_.rqs_tail;
-    rng::Engine init_eng = eng.split();
-    auto stack = std::make_unique<flow::CouplingStack>(scfg, init_eng);
-
-    RunResult result;
-    result.stages.reserve(num_stages);
-
-    const std::size_t n = cfg_.samples_per_epoch;
-    // Training-phase g budget, tallied per batch (the guard's own counter
-    // also covers retry probes, which are charged separately below).
-    std::size_t train_g_calls = 0;
-    std::size_t g_grad_calls = 0;
-
-    // --- checkpoint/resume (DESIGN.md §12) -------------------------------
-    const checkpoint::CheckpointConfig& ck = cfg_.checkpoint;
-    std::optional<checkpoint::CheckpointDir> ckdir;
-    std::optional<checkpoint::TrainSnapshot> resumed;
-    // Evalcache hits accumulated by *earlier* incarnations of this run;
-    // this process's decorator counts from zero, so the cumulative hit
-    // tally is baseline + cached->hits().
-    std::size_t cached_hits_baseline = 0;
-    std::size_t start_stage = 1;
-    if (ck.enabled()) {
-        ckdir.emplace(ck.dir, ck.keep);
-        if (ck.resume) {
-            const std::uint64_t fp = run_fingerprint(cfg_, levels_, d);
-            resumed = ckdir->load_latest(fp);
-        }
-        if (resumed) {
-            // Restore every piece of run state the snapshot captured; from
-            // here on the process is indistinguishable from one that never
-            // stopped. The two telemetry counts re-seed this process's
-            // fresh RunTrace with the pre-snapshot tallies so end-of-run
-            // counters match an uninterrupted run.
-            flow::restore_params(*stack, resumed->params);
-            stack->set_scale_caps(resumed->scale_caps);
-            eng.set_state(resumed->rng_state);
-            guarded.import_state(
-                {resumed->guard_call_index, resumed->guard_report});
-            train_g_calls = resumed->train_g_calls;
-            g_grad_calls = resumed->g_grad_calls;
-            cached_hits_baseline = resumed->cached_hits;
-            if (train_g_calls > 0)
-                telemetry::count("g_calls.train", train_g_calls);
-            if (g_grad_calls > 0)
-                telemetry::count("g_grad_calls", g_grad_calls);
-            for (const auto& rec : resumed->stages)
-                result.stages.push_back(to_diagnostics(rec));
-            start_stage = resumed->next_stage;
-        }
-    }
-
-    // Snapshot of everything needed to continue from "about to run stage
-    // `next_stage`" (or, with the partial extras filled in by the epoch
-    // hook, from inside it).
-    auto snapshot_base = [&](std::uint64_t next_stage) {
-        checkpoint::TrainSnapshot s;
-        s.fingerprint = run_fingerprint(cfg_, levels_, d);
-        s.next_stage = next_stage;
-        s.params = flow::snapshot_params(*stack);
-        s.scale_caps = stack->scale_caps();
-        s.rng_state = eng.state();
-        const auto gs = guarded.export_state();
-        s.guard_call_index = gs.call_index;
-        s.guard_report = gs.report;
-        s.train_g_calls = train_g_calls;
-        s.g_grad_calls = g_grad_calls;
-        s.cached_hits =
-            cached ? cached_hits_baseline + cached->hits() : std::size_t{0};
-        s.stages.reserve(result.stages.size());
-        for (const auto& sd : result.stages) s.stages.push_back(to_record(sd));
-        return s;
-    };
-    auto persist = [&](const checkpoint::TrainSnapshot& s) {
-        ckdir->write(s);
-        if (ck.crash_after_snapshots > 0 &&
-            ckdir->writes() >= ck.crash_after_snapshots)
-            throw checkpoint::SimulatedCrash(
-                "simulated crash after snapshot " +
-                std::to_string(ckdir->writes()));
-    };
-
-    // One training pass over stage m at (lr0, clip). In abort mode the pass
-    // stops at the first divergence signal so the caller can roll back; in
-    // legacy mode (retry budget exhausted) divergent epochs are skipped and
-    // the pass always completes.
-    struct StageOutcome {
-        bool diverged = false;
-        const char* reason = "";
-    };
-    // Mid-stage resume context for one train_stage call: enter the epoch
-    // loop at `start_epoch` with the snapshot's decayed LR and optimizer
-    // moments instead of fresh ones. `anchor` is the stage's rollback
-    // checkpoint, persisted by epoch snapshots so a resumed attempt can
-    // still roll back to the true stage start.
-    struct StageResume {
-        std::size_t start_epoch = 0;
-        double stage_lr = 0.0;
-        const nn::OptimizerState* opt = nullptr;
-    };
-    auto train_stage = [&](std::size_t m, double lr0, double clip,
-                           bool abort_on_divergence, StageDiagnostics& diag,
-                           std::size_t attempt,
-                           const flow::ParamSnapshot& anchor,
-                           const StageResume& resume) -> StageOutcome {
-        const double a_m = levels_.level(m - 1);
-        const std::size_t block = m - 1;
-
-        std::vector<autodiff::Var> train_params;
-        if (cfg_.freeze_previous) {
-            stack->freeze_blocks_before(block);
-            train_params = stack->block_params(block);
-        } else {
-            stack->unfreeze_all();
-            for (std::size_t b = 0; b < m; ++b)
-                for (auto& p : stack->block_params(b))
-                    train_params.push_back(p);
-        }
-        nn::Adam opt(train_params, lr0);
-        double stage_lr = lr0;
-        if (resume.opt != nullptr) {
-            opt.import_state(*resume.opt);
-            stage_lr = resume.stage_lr;
-        }
-
-        const double explode_limit =
-            nn::grad_explode_limit(clip, cfg_.grad_explode_factor);
-
-        if (resume.start_epoch == 0) {
-            diag.epoch_loss.clear();
-            diag.inside_fraction = 0.0;
-        }
-
-        for (std::size_t epoch = resume.start_epoch; epoch < cfg_.epochs;
-             ++epoch) {
-            // Optional epoch snapshot, taken at the top of the loop before
-            // any RNG draw so a resumed process replays the epoch
-            // bit-for-bit. `epoch > start_epoch` skips both epoch 0 (the
-            // stage-boundary snapshot already covers it) and an immediate
-            // rewrite of the snapshot just resumed from.
-            if (ckdir && ck.every_epochs > 0 && epoch > resume.start_epoch &&
-                epoch % ck.every_epochs == 0) {
-                checkpoint::TrainSnapshot s = snapshot_base(m);
-                s.has_partial = true;
-                s.next_epoch = epoch;
-                s.attempt = attempt;
-                s.attempt_lr = lr0;
-                s.attempt_clip = clip;
-                s.stage_lr = stage_lr;
-                s.opt_state = opt.export_state();
-                s.stage_start_params = anchor;
-                s.partial = to_record(diag);
-                persist(s);
-            }
-            // Per-phase wall-clock spans. The spans accumulate across the
-            // stage's epochs (count = epochs timed); none of them touches
-            // the RNG or the math, so estimates are bitwise identical with
-            // telemetry on or off.
-            std::optional<telemetry::ScopedSpan> phase;
-            phase.emplace("sample_forward");
-            const Matrix z0 = rng::standard_normal_matrix(eng, n, d);
-
-            // Frozen prefix on the cheap value path; graph only for the
-            // trainable tail. With NoFreeze everything is in the graph.
-            Matrix z_in = z0;
-            std::vector<double> frozen_log_det(n, 0.0);
-            std::size_t graph_begin = 0;
-            if (cfg_.freeze_previous && block > 0) {
-                z_in = stack->transport_range(z0, 0, block, frozen_log_det);
-                graph_begin = block;
-            }
-            auto fwd = stack->forward_range(Var(z_in), graph_begin, m);
-            const Matrix& z = fwd.z.value();
-            phase.reset();
-
-            if (!z.all_finite()) {
-                if (abort_on_divergence)
-                    return {true, "non-finite flow output"};
-                // Flow blew up this epoch; skip the update rather than
-                // poisoning Adam's moments with NaNs. The sentinel keeps
-                // the curve honest: no loss was computed this epoch.
-                ++diag.skipped_epochs;
-                diag.epoch_loss.push_back(
-                    std::numeric_limits<double>::quiet_NaN());
-                continue;
-            }
-
-            // Black-box target term: value for the loss report, gradient
-            // injected via dot_constant. ∂T/∂z_n = (1/N)(−τ·∇g·1[g>a] − z_n).
-            //
-            // Pass 1 — batched g over all rows (parallel, per-row call
-            // indices in row order). The reductions below run serially in
-            // row order, so the loss is bitwise identical at any thread
-            // count.
-            phase.emplace("g_eval");
-            train_g_calls += n;
-            telemetry::count("g_calls.train", n);
-            const std::vector<double> g_vals = guarded.g_rows(z);
-            phase.reset();
-
-            Matrix target_grad(n, d);
-            double target_value = 0.0;
-            double inside = 0.0;
-            std::vector<std::size_t> grad_rows;
-            for (std::size_t r = 0; r < n; ++r) {
-                const auto zr = z.row_span(r);
-                const double gv = g_vals[r];
-                if (!std::isfinite(gv)) {
-                    // A non-finite g slipped through the guard (propagate
-                    // policy): the tempered target is undefined, so poison
-                    // the loss instead of silently zeroing the weight.
-                    target_value = std::numeric_limits<double>::quiet_NaN();
-                }
-                if (gv <= a_m) inside += 1.0;
-                target_value += tempered_log_weight(cfg_.tau, a_m, gv) +
-                                rng::standard_normal_log_pdf(zr);
-                if (gv > a_m) grad_rows.push_back(r);
-            }
-
-            // Pass 2 — batched ∇g for the rows that need it. Backward
-            // through the same simulation point is free under the paper's
-            // autograd accounting (see RareEventProblem::g_grad). Each row
-            // writes only its own target_grad slice, so this fans out on
-            // the pool with one reserved call index per row.
-            {
-                phase.emplace("g_grad");
-                g_grad_calls += grad_rows.size();
-                telemetry::count("g_grad_calls", grad_rows.size());
-                const std::size_t gbase = guarded.reserve_calls(
-                    grad_rows.size());
-                std::vector<std::exception_ptr> errors(grad_rows.size());
-                parallel::parallel_for(
-                    grad_rows.size(), [&](std::size_t i0, std::size_t i1) {
-                        std::vector<double> grad_buf(d);
-                        for (std::size_t i = i0; i < i1; ++i) {
-                            const std::size_t r = grad_rows[i];
-                            try {
-                                guarded.g_grad_indexed(
-                                    gbase + i, z.row_span(r), grad_buf);
-                                for (std::size_t c = 0; c < d; ++c)
-                                    target_grad(r, c) =
-                                        -cfg_.tau * grad_buf[c];
-                            } catch (...) {
-                                errors[i] = std::current_exception();
-                            }
-                        }
-                    });
-                parallel::rethrow_first(errors);
-                phase.reset();
-            }
-            for (std::size_t r = 0; r < n; ++r) {
-                const auto zr = z.row_span(r);
-                for (std::size_t c = 0; c < d; ++c) target_grad(r, c) -= zr[c];
-            }
-            const double inv_n = 1.0 / static_cast<double>(n);
-            target_value *= inv_n;
-            target_grad *= inv_n;
-            inside *= inv_n;
-
-            // loss = −mean(log-det) − T. The dot_constant surrogate carries
-            // exactly ∂T/∂z into the graph.
-            Var graph_loss =
-                autodiff::add(autodiff::neg(autodiff::mean(fwd.log_det)),
-                              autodiff::neg(autodiff::dot_constant(
-                                  fwd.z, target_grad)));
-
-            double mean_log_det = fwd.log_det.value().mean();
-            for (double v : frozen_log_det) mean_log_det += v * inv_n;
-            const double true_loss = -mean_log_det - target_value;
-
-            if (!std::isfinite(true_loss) || !target_grad.all_finite()) {
-                if (abort_on_divergence) return {true, "non-finite KL loss"};
-                ++diag.skipped_epochs;
-                diag.epoch_loss.push_back(
-                    std::numeric_limits<double>::quiet_NaN());
-                continue;
-            }
-
-            phase.emplace("backward");
-            opt.zero_grad();
-            graph_loss.backward();
-            const double grad_norm = opt.clip_grad_norm(clip);
-            phase.reset();
-            if (abort_on_divergence &&
-                (!std::isfinite(grad_norm) || grad_norm > explode_limit))
-                return {true, "exploding gradient norm"};
-            phase.emplace("optimizer");
-            opt.set_learning_rate(stage_lr);
-            opt.step();
-            stage_lr *= cfg_.lr_decay;
-            phase.reset();
-
-            diag.epoch_loss.push_back(true_loss);
-            diag.inside_fraction = inside;
-        }
-
-        if (abort_on_divergence &&
-            diag.inside_fraction < cfg_.min_inside_fraction)
-            return {true, "inside-fraction collapse"};
-        return {};
-    };
-
-    {
-        const telemetry::ScopedSpan train_span("train");
-        for (std::size_t m = start_stage; m <= num_stages; ++m) {
-            // Retries re-enter the same stage span, so its wall-clock covers
-            // every attempt and its phase counts expose the extra epochs.
-            const telemetry::ScopedSpan stage_span("stage_" +
-                                                   std::to_string(m));
-            StageDiagnostics diag;
-            diag.stage = m;
-            diag.level = levels_.level(m - 1);
-
-            // Rollback anchor taken before the stage touches any parameter;
-            // rolled-back retries restart training from exactly this state.
-            flow::ParamSnapshot anchor;
-            double lr = cfg_.learning_rate;
-            double clip = cfg_.grad_clip;
-            std::size_t first_attempt = 0;
-            StageResume stage_resume;
-            if (resumed && resumed->has_partial && m == start_stage) {
-                // Mid-stage snapshot: re-enter the in-flight attempt at the
-                // recorded epoch, with its shrunk LR/clip and the anchor it
-                // would roll back to.
-                anchor = resumed->stage_start_params;
-                first_attempt = resumed->attempt;
-                lr = resumed->attempt_lr;
-                clip = resumed->attempt_clip;
-                stage_resume.start_epoch = resumed->next_epoch;
-                stage_resume.stage_lr = resumed->stage_lr;
-                stage_resume.opt = &resumed->opt_state;
-                diag = to_diagnostics(resumed->partial);
-            } else {
-                anchor = flow::snapshot_params(*stack);
-            }
-
-            for (std::size_t attempt = first_attempt;; ++attempt) {
-                const bool last_attempt = attempt >= cfg_.stage_max_retries;
-                const StageOutcome out =
-                    train_stage(m, lr, clip, !last_attempt, diag, attempt,
-                                anchor, stage_resume);
-                stage_resume = StageResume{};  // only the first pass resumes
-                if (!out.diverged || last_attempt) break;
-
-                flow::restore_params(*stack, anchor);
-                stack->tighten_scale_cap(m - 1, cfg_.retry_scale_cap_factor);
-                lr *= cfg_.retry_lr_factor;
-                clip *= cfg_.retry_grad_clip_factor;
-                ++diag.retries;
-                diag.retry_reasons.emplace_back(out.reason);
-            }
-            result.stages.push_back(std::move(diag));
-
-            // Stage boundary: durably snapshot "about to run stage m+1"
-            // (m+1 = num_stages+1 means training is done and only the
-            // final IS remains). Honour a pending SIGINT/SIGTERM here —
-            // the in-flight stage finished, the snapshot is on disk, so
-            // stopping now loses no work.
-            if (ckdir) persist(snapshot_base(m + 1));
-            if (checkpoint::stop_requested()) {
-                result.interrupted = true;
-                break;
-            }
-        }
-    }
-
-    // Final importance-sampling estimate with q_MK (Eq. 2), still guarded.
-    IsDiagnostics is_diag;
-    EstimateResult est;
-    if (result.interrupted) {
-        // No final IS was spent; report the g-budget consumed so far and
-        // mark the estimate unusable. A --resume run picks up from the
-        // snapshot written above and spends the final IS exactly once.
-        est.failed = true;
-        est.detail = "interrupted by stop request; resume to continue";
-    } else if (cfg_.latent.enabled) {
-        // Latent-space exploration (DESIGN.md §16): the chain budget is
-        // carved out of n_is, so the total g-spend matches plain final IS.
-        est = latent::explore_and_estimate(*stack, guarded, eng, cfg_.n_is,
-                                           cfg_.tau, levels_.level(0),
-                                           cfg_.latent, &is_diag,
-                                           &result.latent_report);
-    } else {
-        est = importance_estimate(*stack, guarded, eng, cfg_.n_is, &is_diag,
-                                  cfg_.defensive_weight,
-                                  cfg_.defensive_sigma);
-    }
-    // Honest budget: training calls + fault-retry evaluations on top of the
-    // N_IS already counted by importance_estimate. (g_grad rides on the
-    // value evaluation under the paper's autograd accounting, so only the
-    // value batches count.)
-    est.calls += train_g_calls + guarded.report().retry_attempts;
-    // Every value arrival at the cache is one of the calls counted above,
-    // so the cumulative hit tally (pre-snapshot baseline + this process's
-    // decorator instance) IS the cached share of `calls` (min guards the
-    // invariant against future drift). Restored counters keep the
-    // accounting honest across restarts: fresh calls spent before a crash
-    // are never re-counted as fresh, and fresh + cached == total holds.
-    est.cached_calls =
-        cached ? std::min(cached_hits_baseline + cached->hits(), est.calls)
-               : std::size_t{0};
-
-    RunHealth health;
-    health.faults = guarded.report();
-    health.g_retry_calls = guarded.report().retry_attempts;
-    for (const auto& s : result.stages) {
-        health.stage_retries += s.retries;
-        if (s.retries > 0) ++health.stages_rolled_back;
-        health.skipped_epochs += s.skipped_epochs;
-    }
-    health.final_ess = is_diag.effective_sample_size;
-    health.ess_all = is_diag.ess_all;
-    health.max_weight = is_diag.max_weight;
-    health.weight_cv = is_diag.weight_cv;
-    if (health.degraded() && est.detail.empty())
-        est.detail = health.faults.summary();
-
-    // Fold the run's health ledger and proposal-quality numbers into the
-    // active telemetry record (counters accumulate across repeated runs;
-    // metrics hold the last run's values).
-    evalcache::report_call_split(est.calls, est.cached_calls);
-    if (telemetry::RunTrace* tr = telemetry::active()) {
-        tr->add_counter("calls", est.calls);
-        tr->add_counter("g_retry_calls", health.g_retry_calls);
-        tr->add_counter("stage_retries", health.stage_retries);
-        tr->add_counter("stages_rolled_back", health.stages_rolled_back);
-        tr->add_counter("skipped_epochs", health.skipped_epochs);
-        tr->add_counter("faults.total", health.faults.total_faults());
-        using estimators::FaultKind;
-        for (std::size_t k = 0;
-             k < static_cast<std::size_t>(FaultKind::kCount); ++k) {
-            const auto kind = static_cast<FaultKind>(k);
-            if (health.faults.count(kind) > 0)
-                tr->add_counter(std::string("faults.") +
-                                    estimators::fault_kind_name(kind),
-                                health.faults.count(kind));
-        }
-        tr->set_metric("p_hat", est.p_hat);
-        tr->set_metric("ess_hits", health.final_ess);
-        tr->set_metric("ess_all", health.ess_all);
-        tr->set_metric("max_weight", health.max_weight);
-        tr->set_metric("weight_cv", health.weight_cv);
-        tr->set_metric("is_hits", static_cast<double>(is_diag.hits));
-        tr->set_metric("is_draws", static_cast<double>(is_diag.draws));
-    }
-
-    result.estimate = est;
-    result.is_diag = is_diag;
-    result.health = std::move(health);
-    result.flow = std::move(stack);
-    return result;
+    TrainingRun training(cfg_, levels_, problem, eng);
+    training.resume_or_start();
+    const bool interrupted = training.train();
+    return training.finish(interrupted);
 }
 
 EstimateResult NofisEstimator::importance_estimate(
@@ -624,60 +605,14 @@ EstimateResult NofisEstimator::importance_estimate(
     const telemetry::ScopedSpan is_span("final_is");
     telemetry::count("g_calls.final_is", n_is);
     CountedProblem counted(problem);
-    const std::size_t d_dim = trained_flow.dim();
-    const std::size_t blocks = trained_flow.num_blocks();
 
-    // Draw from the (possibly defensive-mixture) proposal and record exact
-    // mixture log-densities.
-    linalg::Matrix z(n_is, d_dim);
-    std::vector<double> log_q(n_is);
-    if (defensive_weight <= 0.0) {
-        auto samples = trained_flow.sample(eng, n_is, blocks);
-        z = std::move(samples.z);
-        log_q = std::move(samples.log_q);
-    } else {
-        const double lw_wide = std::log(defensive_weight);
-        const double lw_flow = std::log1p(-defensive_weight);
-        const dist::DiagGaussian wide =
-            dist::DiagGaussian::isotropic(d_dim, defensive_sigma);
-        // Component choice per sample; batch the flow draws.
-        std::vector<bool> from_wide(n_is);
-        std::size_t n_wide = 0;
-        for (std::size_t r = 0; r < n_is; ++r) {
-            from_wide[r] = eng.uniform() < defensive_weight;
-            if (from_wide[r]) ++n_wide;
-        }
-        const linalg::Matrix zw = wide.sample(eng, n_wide);
-        auto zf = trained_flow.sample(eng, n_is - n_wide, blocks);
-        // Cross densities: flow density at wide points needs the inverse
-        // path; wide density anywhere is closed-form.
-        const std::vector<double> flow_at_wide =
-            n_wide > 0 ? trained_flow.log_prob(zw, blocks)
-                       : std::vector<double>{};
-        std::size_t iw = 0;
-        std::size_t jf = 0;
-        for (std::size_t r = 0; r < n_is; ++r) {
-            double lq_flow;
-            double lq_wide;
-            if (from_wide[r]) {
-                const auto row = zw.row_span(iw);
-                std::copy(row.begin(), row.end(), z.row_span(r).begin());
-                lq_flow = flow_at_wide[iw];
-                lq_wide = wide.log_pdf(row);
-                ++iw;
-            } else {
-                const auto row = zf.z.row_span(jf);
-                std::copy(row.begin(), row.end(), z.row_span(r).begin());
-                lq_flow = zf.log_q[jf];
-                lq_wide = wide.log_pdf(row);
-                ++jf;
-            }
-            const double a = lw_flow + lq_flow;
-            const double b = lw_wide + lq_wide;
-            const double m = std::max(a, b);
-            log_q[r] = m + std::log(std::exp(a - m) + std::exp(b - m));
-        }
-    }
+    const flow::CouplingStack::Samples draws =
+        defensive_weight <= 0.0
+            ? trained_flow.sample(eng, n_is, trained_flow.num_blocks())
+            : sample_defensive_mixture(trained_flow, eng, n_is,
+                                       defensive_weight, defensive_sigma);
+    const linalg::Matrix& z = draws.z;
+    const std::vector<double>& log_q = draws.log_q;
 
     // Batched g over all proposal draws (parallel, row-order call indices);
     // every reduction below stays serial in row order, so the estimate is

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "core/nofis.hpp"
 #include "estimators/guarded_problem.hpp"
 #include "evalcache/eval_cache.hpp"
+#include "flow/serialize.hpp"
 #include "nn/optimizer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/engine.hpp"
@@ -100,10 +102,20 @@ std::uint64_t bits(double v) {
     return u;
 }
 
+/// FNV-1a over raw bytes, the snapshot codec's trailing checksum.
+std::uint64_t fnv1a(const std::string& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 /// Bitwise equality on every externally observable piece of a RunResult:
 /// the estimate, the per-stage diagnostics (NaN sentinels included), the
-/// IS diagnostics, and the health ledger. This is the acceptance bar for
-/// "resumed == uninterrupted".
+/// IS diagnostics, the health ledger, and the trained flow's parameters.
+/// This is the acceptance bar for "resumed == uninterrupted".
 void expect_same_run(const NofisEstimator::RunResult& a,
                      const NofisEstimator::RunResult& b) {
     EXPECT_EQ(bits(a.estimate.p_hat), bits(b.estimate.p_hat));
@@ -144,6 +156,17 @@ void expect_same_run(const NofisEstimator::RunResult& a,
     EXPECT_EQ(a.health.stage_retries, b.health.stage_retries);
     EXPECT_EQ(a.health.stages_rolled_back, b.health.stages_rolled_back);
     EXPECT_EQ(a.health.skipped_epochs, b.health.skipped_epochs);
+
+    ASSERT_TRUE(a.flow && b.flow);
+    const flow::ParamSnapshot pa = flow::snapshot_params(*a.flow);
+    const flow::ParamSnapshot pb = flow::snapshot_params(*b.flow);
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t p = 0; p < pa.size(); ++p) {
+        ASSERT_EQ(pa[p].flat().size(), pb[p].flat().size()) << "param " << p;
+        for (std::size_t i = 0; i < pa[p].flat().size(); ++i)
+            EXPECT_EQ(bits(pa[p].flat()[i]), bits(pb[p].flat()[i]))
+                << "param " << p << " element " << i;
+    }
 }
 
 std::vector<fs::path> snapshot_files(const std::string& dir) {
@@ -153,6 +176,20 @@ std::vector<fs::path> snapshot_files(const std::string& dir) {
             out.push_back(entry.path());
     std::sort(out.begin(), out.end());
     return out;
+}
+
+std::string read_file(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/// Decodes the newest snapshot in `dir` (no fingerprint check).
+std::optional<checkpoint::TrainSnapshot> latest_snapshot(
+    const std::string& dir) {
+    const auto files = snapshot_files(dir);
+    if (files.empty()) return std::nullopt;
+    return checkpoint::decode_snapshot(read_file(files.back()));
 }
 
 void flip_one_bit(const fs::path& path, std::size_t byte_offset) {
@@ -190,10 +227,7 @@ TEST_F(CheckpointTest, AtomicFileReplacesWholeFileOrNothing) {
     }
     EXPECT_GE(inj.injected_enospc(), 1u);
 
-    std::ifstream in(path, std::ios::binary);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    EXPECT_EQ(contents, "old contents");
+    EXPECT_EQ(read_file(path), "old contents");
     EXPECT_EQ(snapshot_files(dir_).size(), 0u);  // no stray .nofisckpt
     std::size_t files = 0;
     for (const auto& entry : fs::directory_iterator(dir_)) {
@@ -204,10 +238,7 @@ TEST_F(CheckpointTest, AtomicFileReplacesWholeFileOrNothing) {
 
     // With the injector gone the same replacement succeeds.
     util::atomic_write_file(path, "new contents");
-    std::ifstream in2(path, std::ios::binary);
-    std::string contents2((std::istreambuf_iterator<char>(in2)),
-                          std::istreambuf_iterator<char>());
-    EXPECT_EQ(contents2, "new contents");
+    EXPECT_EQ(read_file(path), "new contents");
 }
 
 // ---------------------------------------------------------------------------
@@ -291,20 +322,20 @@ checkpoint::TrainSnapshot sample_snapshot() {
     s.params = {w, linalg::Matrix(1, 2, -0.5)};
     s.scale_caps = {2.0, 1.4};
     s.rng_state = {1, 2, 3, 0xffffffffffffffffULL};
-    s.guard_call_index = 4242;
-    s.guard_report.counts[0] = 3;
-    s.guard_report.retry_attempts = 5;
-    s.guard_report.recovered = 2;
-    s.guard_report.clamped = 1;
-    s.guard_report.has_first = true;
-    s.guard_report.first_kind = estimators::FaultKind::kNonFiniteValue;
-    s.guard_report.first_message = "injected NaN";
-    s.guard_report.first_x = {0.5, -0.5};
-    s.guard_report.first_call_index = 17;
+    s.guard.call_index = 4242;
+    s.guard.report.counts[0] = 3;
+    s.guard.report.retry_attempts = 5;
+    s.guard.report.recovered = 2;
+    s.guard.report.clamped = 1;
+    s.guard.report.has_first = true;
+    s.guard.report.first_kind = estimators::FaultKind::kNonFiniteValue;
+    s.guard.report.first_message = "injected NaN";
+    s.guard.report.first_x = {0.5, -0.5};
+    s.guard.report.first_call_index = 17;
     s.train_g_calls = 720;
     s.g_grad_calls = 360;
     s.cached_hits = 9;
-    checkpoint::StageRecord rec;
+    core::StageDiagnostics rec;
     rec.stage = 1;
     rec.level = 1.2;
     rec.epoch_loss = {2.5, std::numeric_limits<double>::quiet_NaN(), 1.75};
@@ -345,15 +376,15 @@ TEST(CheckpointCodec, SnapshotRoundTripsBitExact) {
     }
     EXPECT_EQ(d->scale_caps, s.scale_caps);
     EXPECT_EQ(d->rng_state, s.rng_state);
-    EXPECT_EQ(d->guard_call_index, s.guard_call_index);
-    EXPECT_EQ(d->guard_report.counts, s.guard_report.counts);
-    EXPECT_EQ(d->guard_report.retry_attempts, s.guard_report.retry_attempts);
-    EXPECT_EQ(d->guard_report.has_first, true);
-    EXPECT_EQ(d->guard_report.first_kind, s.guard_report.first_kind);
-    EXPECT_EQ(d->guard_report.first_message, s.guard_report.first_message);
-    EXPECT_EQ(d->guard_report.first_x, s.guard_report.first_x);
-    EXPECT_EQ(d->guard_report.first_call_index,
-              s.guard_report.first_call_index);
+    EXPECT_EQ(d->guard.call_index, s.guard.call_index);
+    EXPECT_EQ(d->guard.report.counts, s.guard.report.counts);
+    EXPECT_EQ(d->guard.report.retry_attempts, s.guard.report.retry_attempts);
+    EXPECT_EQ(d->guard.report.has_first, true);
+    EXPECT_EQ(d->guard.report.first_kind, s.guard.report.first_kind);
+    EXPECT_EQ(d->guard.report.first_message, s.guard.report.first_message);
+    EXPECT_EQ(d->guard.report.first_x, s.guard.report.first_x);
+    EXPECT_EQ(d->guard.report.first_call_index,
+              s.guard.report.first_call_index);
     EXPECT_EQ(d->train_g_calls, s.train_g_calls);
     EXPECT_EQ(d->g_grad_calls, s.g_grad_calls);
     EXPECT_EQ(d->cached_hits, s.cached_hits);
@@ -395,6 +426,31 @@ TEST(CheckpointCodec, DecodeRejectsAnyDamage) {
     // Trailing garbage is damage, not slack.
     EXPECT_FALSE(checkpoint::decode_snapshot(blob + "x").has_value());
     EXPECT_TRUE(checkpoint::decode_snapshot(blob).has_value());
+}
+
+TEST(CheckpointCodec, EncodingIsByteStable) {
+    // Pins the on-disk format. A symmetric change to the encoder and the
+    // decoder would still round-trip, yet orphan every existing checkpoint.
+    EXPECT_EQ(fnv1a(checkpoint::encode_snapshot(sample_snapshot())),
+              0x05b30d194296c93bULL);
+}
+
+TEST(CheckpointCodec, DecodeRejectsOverflowingMatrixShape) {
+    // One 1x1 param whose shape is patched to 2^32 x 2^32 with its data
+    // removed: rows * cols * 8 wraps to 0, so only an overflow-safe bound
+    // check can tell. The checksum is recomputed so decoding gets that far.
+    checkpoint::TrainSnapshot s;
+    s.params = {linalg::Matrix(1, 1, 0.5)};
+    std::string blob = checkpoint::encode_snapshot(s);
+    const std::uint64_t shape[2] = {std::uint64_t{1} << 32,
+                                    std::uint64_t{1} << 32};
+    // The shape follows magic(8) version(4) fingerprint(8) next_stage(8)
+    // and the param count(8); rows, cols and the one value are replaced.
+    blob.replace(36, 24, reinterpret_cast<const char*>(shape), 16);
+    blob.resize(blob.size() - 8);
+    const std::uint64_t sum = fnv1a(blob);
+    blob.append(reinterpret_cast<const char*>(&sum), 8);
+    EXPECT_FALSE(checkpoint::decode_snapshot(blob).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -516,20 +572,11 @@ TEST_F(CheckpointResumeTest, KillMidStageResumesBitwiseAcrossThreadCounts) {
     }
 
     // The latest snapshot really is mid-stage.
-    {
-        checkpoint::CheckpointDir ckdir(dir_, 3);
-        // Fingerprint is whatever the run used; peek with the raw decoder.
-        auto files = snapshot_files(dir_);
-        ASSERT_FALSE(files.empty());
-        std::ifstream in(files.back(), std::ios::binary);
-        std::string blob((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        const auto peek = checkpoint::decode_snapshot(blob);
-        ASSERT_TRUE(peek.has_value());
-        EXPECT_TRUE(peek->has_partial);
-        EXPECT_EQ(peek->next_stage, 2u);
-        EXPECT_EQ(peek->next_epoch, 4u);
-    }
+    const auto peek = latest_snapshot(dir_);
+    ASSERT_TRUE(peek.has_value());
+    EXPECT_TRUE(peek->has_partial);
+    EXPECT_EQ(peek->next_stage, 2u);
+    EXPECT_EQ(peek->next_epoch, 4u);
 
     // Resume at --threads 1: thread count is outside the fingerprint and
     // outside the math.
@@ -539,6 +586,55 @@ TEST_F(CheckpointResumeTest, KillMidStageResumesBitwiseAcrossThreadCounts) {
     rng::Engine eng2(31337);
     const auto resumed = NofisEstimator(cfg, tiny_levels()).run(problem, eng2);
     expect_same_run(reference, resumed);
+}
+
+TEST_F(CheckpointResumeTest, KillDuringRetryAttemptResumesBitwise) {
+    // A NaN burst over stage 1 epoch 0 reaches the KL loss (propagate), so
+    // attempt 0 rolls back at once and the first snapshot of the run is
+    // taken inside attempt 1: shrunk lr/clip, tightened scale cap, decayed
+    // lr, live Adam moments and the rollback anchor all in flight.
+    HalfSpace2D inner(2.5);
+    NofisConfig cfg = tiny_config();
+    cfg.lr_decay = 0.95;
+    cfg.guard.policy = estimators::GuardConfig::Policy::kPropagate;
+    cfg.checkpoint.every_epochs = 2;
+    cfg.checkpoint.keep = 1000;
+    testcases::FaultInjectorConfig fault_cfg;
+    fault_cfg.nan_burst_end = cfg.samples_per_epoch;
+    // Each run is a fresh process: a fresh injector, which replays the same
+    // faults because they are keyed by the guard's call index.
+    auto run = [&](const std::string& dir, std::uint64_t seed) {
+        cfg.checkpoint.dir = dir;
+        testcases::FaultInjector faulty(inner, fault_cfg);
+        rng::Engine eng(seed);
+        return NofisEstimator(cfg, tiny_levels()).run(faulty, eng);
+    };
+    const std::string ref_dir = dir_ + "/ref";
+    const std::string kill_dir = dir_ + "/kill";
+    const auto reference = run(ref_dir, 7);
+    ASSERT_GE(reference.stages.at(0).retries, 1u);
+
+    cfg.checkpoint.crash_after_snapshots = 1;
+    EXPECT_THROW(run(kill_dir, 7), checkpoint::SimulatedCrash);
+    const auto peek = latest_snapshot(kill_dir);
+    ASSERT_TRUE(peek.has_value());
+    EXPECT_TRUE(peek->has_partial);
+    EXPECT_EQ(peek->next_stage, 1u);
+    EXPECT_EQ(peek->attempt, 1u);
+    EXPECT_EQ(bits(peek->attempt_lr),
+              bits(cfg.learning_rate * cfg.retry_lr_factor));
+
+    cfg.checkpoint.crash_after_snapshots = 0;
+    cfg.checkpoint.resume = true;
+    expect_same_run(reference, run(kill_dir, 1234));
+    // Every snapshot the two incarnations wrote, the attempt-1 state among
+    // them, matches the uninterrupted run's byte for byte.
+    const auto ref_files = snapshot_files(ref_dir);
+    const auto kill_files = snapshot_files(kill_dir);
+    ASSERT_EQ(ref_files.size(), kill_files.size());
+    for (std::size_t i = 0; i < ref_files.size(); ++i)
+        EXPECT_TRUE(read_file(ref_files[i]) == read_file(kill_files[i]))
+            << ref_files[i].filename();
 }
 
 TEST_F(CheckpointResumeTest, CorruptLatestSnapshotResumesFromPrevious) {
