@@ -230,6 +230,20 @@ void BM_YBranchEval(benchmark::State& state) {
 }
 BENCHMARK(BM_YBranchEval);
 
+// One finite-difference gradient row of the YBranch case: 2·26 + 1 = 53
+// transmission calls, the unit the NOFIS g_grad phase spends its time in.
+void BM_YBranchGrad(benchmark::State& state) {
+    const auto yb = testcases::make_case("YBranch");
+    rng::Engine eng(8);
+    std::vector<double> x(yb->dim());
+    std::vector<double> grad(yb->dim());
+    for (auto _ : state) {
+        rng::fill_standard_normal(eng, x);
+        benchmark::DoNotOptimize(yb->g_grad(x, grad));
+    }
+}
+BENCHMARK(BM_YBranchGrad);
+
 }  // namespace
 
 BENCHMARK_MAIN();

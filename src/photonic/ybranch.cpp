@@ -1,5 +1,6 @@
 #include "photonic/ybranch.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -9,14 +10,56 @@ namespace nofis::photonic {
 YBranchModel::YBranchModel(Params p) : p_(p) {
     if (p_.segments < 2)
         throw std::invalid_argument("YBranchModel: need >= 2 segments");
-    z_centers_.resize(p_.segments);
+    if (p_.num_modes == 0)
+        throw std::invalid_argument("YBranchModel: need >= 1 mode");
+    if (!std::isfinite(p_.length_um) || p_.length_um <= 0.0)
+        throw std::invalid_argument(
+            "YBranchModel: length_um must be finite and > 0");
+    if (!std::isfinite(p_.lambda_um) || p_.lambda_um <= 0.0)
+        throw std::invalid_argument(
+            "YBranchModel: lambda_um must be finite and > 0");
     w_nominal_.resize(p_.segments);
+    for (std::size_t s = 0; s < p_.segments; ++s)
+        w_nominal_[s] =
+            p_.w_in_um + (p_.w_out_um - p_.w_in_um) * taper_fraction(s);
+}
+
+double YBranchModel::taper_fraction(std::size_t s) const {
     const double dz = p_.length_um / static_cast<double>(p_.segments);
-    for (std::size_t s = 0; s < p_.segments; ++s) {
-        const double z = (static_cast<double>(s) + 0.5) * dz;
-        z_centers_[s] = z;
-        const double t = z / p_.length_um;
-        w_nominal_[s] = p_.w_in_um + (p_.w_out_um - p_.w_in_um) * t;
+    const double z = (static_cast<double>(s) + 0.5) * dz;
+    return z / p_.length_um;
+}
+
+const YBranchModel::Tables& YBranchModel::tables() const {
+    std::call_once(tables_once_, [this] {
+        const std::size_t segs = p_.segments;
+        const double pi = std::numbers::pi;
+        tables_.sin_basis.resize(p_.num_modes * segs);
+        tables_.mode_weight.resize(p_.num_modes);
+        for (std::size_t k = 0; k < p_.num_modes; ++k) {
+            tables_.mode_weight[k] =
+                p_.deform_amp_um / (1.0 + 0.25 * static_cast<double>(k));
+            for (std::size_t s = 0; s < segs; ++s)
+                tables_.sin_basis[k * segs + s] = std::sin(
+                    pi * static_cast<double>(k + 1) * taper_fraction(s));
+        }
+        const double dz = p_.length_um / static_cast<double>(segs);
+        tables_.leak2 = std::exp(-(p_.loss2_per_um * dz));
+    });
+    return tables_;
+}
+
+void YBranchModel::deformation(std::span<const double> x,
+                               std::span<double> dw) const {
+    const Tables& tab = tables();
+    const std::size_t segs = p_.segments;
+    std::fill(dw.begin(), dw.end(), 0.0);
+    // Mode-outer so the inner loop vectorises across segments; each dw[s]
+    // still accumulates (c_k·x_k)·sin in k order from 0.0.
+    for (std::size_t k = 0; k < p_.num_modes; ++k) {
+        const double a = tab.mode_weight[k] * x[k];
+        const double* basis = tab.sin_basis.data() + k * segs;
+        for (std::size_t s = 0; s < segs; ++s) dw[s] += a * basis[s];
     }
 }
 
@@ -24,18 +67,9 @@ std::vector<double> YBranchModel::width_profile(
     std::span<const double> x) const {
     if (x.size() != p_.num_modes)
         throw std::invalid_argument("YBranchModel: dimension mismatch");
-    std::vector<double> w(w_nominal_);
-    const double pi = std::numbers::pi;
-    for (std::size_t s = 0; s < w.size(); ++s) {
-        const double t = z_centers_[s] / p_.length_um;
-        double dw = 0.0;
-        for (std::size_t k = 0; k < p_.num_modes; ++k) {
-            const double ck =
-                p_.deform_amp_um / (1.0 + 0.25 * static_cast<double>(k));
-            dw += ck * x[k] * std::sin(pi * static_cast<double>(k + 1) * t);
-        }
-        w[s] += dw;
-    }
+    std::vector<double> w(p_.segments);
+    deformation(x, w);
+    for (std::size_t s = 0; s < w.size(); ++s) w[s] += w_nominal_[s];
     return w;
 }
 
@@ -43,6 +77,7 @@ double YBranchModel::transmission(std::span<const double> x) const {
     const std::vector<double> w = width_profile(x);
     const double dz = p_.length_um / static_cast<double>(p_.segments);
     const double k0 = 2.0 * std::numbers::pi / p_.lambda_um;
+    const double leak2 = tables().leak2;
 
     // Two-mode complex amplitudes; all power launched in the fundamental,
     // scaled by the nominal splitter ratio of the arm under study.
@@ -69,9 +104,8 @@ double YBranchModel::transmission(std::span<const double> x) const {
         // Propagation phase + loss. The higher mode leaks continuously; the
         // fundamental sees weak scattering growing with |deformation|.
         const double loss1 = p_.loss1_scatter * dwidth * dwidth * dz;
-        const double loss2 = p_.loss2_per_um * dz;
         a1 = b1 * std::polar(std::exp(-loss1), beta1 * dz);
-        a2 = b2 * std::polar(std::exp(-loss2), beta2 * dz);
+        a2 = b2 * std::polar(leak2, beta2 * dz);
     }
     return std::norm(a1) + 0.15 * std::norm(a2);
 }

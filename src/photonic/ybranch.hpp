@@ -1,6 +1,7 @@
 #pragma once
 
 #include <complex>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -44,7 +45,8 @@ public:
     YBranchModel() : YBranchModel(Params()) {}
     explicit YBranchModel(Params p);
 
-    /// Power transmission T(x) in [0, 1]; x.size() == num_modes.
+    /// Power transmission T(x) in [0, 1]; x.size() == num_modes. Safe for
+    /// concurrent calls, including the first ones on a fresh model.
     double transmission(std::span<const double> x) const;
 
     /// Deformed width profile at segment centres (for tests / plots).
@@ -53,9 +55,27 @@ public:
     std::size_t num_modes() const noexcept { return p_.num_modes; }
 
 private:
+    /// Everything an evaluation reads that does not depend on x. Built on
+    /// the first evaluation, not in the constructor: callers often hold
+    /// many models they never evaluate.
+    struct Tables {
+        std::vector<double> sin_basis;  ///< [k·segments+s] = sin(π(k+1)z_s/L)
+        std::vector<double> mode_weight;  ///< c_k
+        double leak2 = 0.0;  ///< exp(−loss2·dz), per segment
+    };
+
+    const Tables& tables() const;
+
+    /// z_s / L for the centre of segment s.
+    double taper_fraction(std::size_t s) const;
+
+    /// dw[s] = Σ_k c_k x_k sin(π(k+1)z_s/L), summed in k order.
+    void deformation(std::span<const double> x, std::span<double> dw) const;
+
     Params p_;
-    std::vector<double> z_centers_;  ///< segment centres [µm]
     std::vector<double> w_nominal_;  ///< nominal width at centres
+    mutable std::once_flag tables_once_;
+    mutable Tables tables_;
 };
 
 }  // namespace nofis::photonic

@@ -1,13 +1,44 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <latch>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "photonic/ybranch.hpp"
 #include "rng/normal.hpp"
+#include "testcases/circuit_cases.hpp"
 
 namespace {
 
 using nofis::photonic::YBranchModel;
+
+/// Folds the raw bytes of `v` into an FNV-1a digest.
+void fnv1a(std::uint64_t& h, double v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+/// Seeded standard-normal points; every odd point is scaled by 3 so the
+/// set also reaches the failure region (T < 0.32).
+std::vector<std::vector<double>> probe_points(std::uint64_t seed,
+                                              std::size_t n) {
+    nofis::rng::Engine eng(seed);
+    std::vector<std::vector<double>> pts(n, std::vector<double>(26));
+    for (std::size_t i = 0; i < n; ++i) {
+        nofis::rng::fill_standard_normal(eng, pts[i]);
+        if (i % 2 == 1)
+            for (double& v : pts[i]) v *= 3.0;
+    }
+    return pts;
+}
 
 TEST(YBranch, NominalTransmissionInDesignWindow) {
     YBranchModel model;
@@ -102,6 +133,91 @@ TEST(YBranch, RejectsBadArguments) {
     YBranchModel::Params p;
     p.segments = 1;
     EXPECT_THROW(YBranchModel{p}, std::invalid_argument);
+
+    // Degenerate parameters; length_um = 0 used to make every T a silent
+    // NaN (slope = 0/0).
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const auto rejects = [](auto&& edit) {
+        YBranchModel::Params q;
+        edit(q);
+        EXPECT_THROW(YBranchModel{q}, std::invalid_argument);
+    };
+    rejects([](auto& q) { q.num_modes = 0; });
+    rejects([](auto& q) { q.length_um = 0.0; });
+    rejects([](auto& q) { q.length_um = -20.0; });
+    rejects([](auto& q) { q.length_um = std::nan(""); });
+    rejects([](auto& q) { q.length_um = kInf; });
+    rejects([](auto& q) { q.lambda_um = 0.0; });
+    rejects([](auto& q) { q.lambda_um = -1.55; });
+    rejects([](auto& q) { q.lambda_um = std::nan(""); });
+    rejects([](auto& q) { q.lambda_um = kInf; });
+}
+
+TEST(YBranch, TransmissionBitsMatchParent) {
+    // Digests of the simulator's output bytes, captured from the
+    // straightforward per-call implementation (sine basis and mode weights
+    // recomputed on every call). Any reassociation of the width sum or the
+    // propagation arithmetic changes them.
+    YBranchModel model;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::size_t failing = 0;
+    for (const auto& x : probe_points(2024, 4096)) {
+        const double t = model.transmission(x);
+        failing += t < nofis::testcases::YBranchCase::kTransmissionLimit;
+        fnv1a(h, t);
+    }
+    EXPECT_GT(failing, 0u) << "probe set never reaches the failure region";
+    EXPECT_EQ(h, 0x5cac7cef41d686b3ULL);
+
+    const nofis::testcases::YBranchCase ycase;
+    std::uint64_t hg = 0xcbf29ce484222325ULL;
+    std::vector<double> grad(26);
+    for (const auto& x : probe_points(77, 16)) {
+        fnv1a(hg, ycase.g_grad(x, grad));
+        for (const double v : grad) fnv1a(hg, v);
+    }
+    EXPECT_EQ(hg, 0x5774d5b6371a4ec5ULL);
+}
+
+TEST(YBranchDeterminism, ConcurrentFirstCallsMatchSerial) {
+    // Eight threads make the very first calls into one freshly built model;
+    // whatever it caches on first use must come out the same as serially.
+    constexpr std::size_t kThreads = 8;
+    constexpr std::size_t kPerThread = 32;
+    const auto pts = probe_points(9, kThreads * kPerThread);
+
+    const YBranchModel serial;
+    std::vector<double> want(pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i)
+        want[i] = serial.transmission(pts[i]);
+    const auto want_w = serial.width_profile(pts.front());
+
+    const YBranchModel shared;
+    std::vector<double> got(pts.size());
+    std::vector<std::vector<double>> got_w(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            if (t % 2 == 0) got_w[t] = shared.width_profile(pts.front());
+            for (std::size_t i = t; i < pts.size(); i += kThreads)
+                got[i] = shared.transmission(pts[i]);
+            if (t % 2 == 1) got_w[t] = shared.width_profile(pts.front());
+        });
+    }
+    for (auto& th : threads) th.join();
+
+    for (std::size_t i = 0; i < pts.size(); ++i)
+        EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+            << "point " << i << ": " << got[i] << " vs " << want[i];
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(got_w[t].size(), want_w.size());
+        EXPECT_EQ(std::memcmp(got_w[t].data(), want_w.data(),
+                              want_w.size() * sizeof(double)),
+                  0)
+            << "thread " << t;
+    }
 }
 
 }  // namespace
