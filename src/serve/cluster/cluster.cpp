@@ -23,6 +23,8 @@
 
 namespace nofis::serve::cluster {
 
+using util::Json;
+
 namespace {
 
 void send_all(int fd, const std::string& data) {

@@ -13,6 +13,8 @@
 
 namespace nofis::serve {
 
+using util::Json;
+
 namespace {
 
 /// Histogram bucket counter for one batch's request count.

@@ -1,11 +1,10 @@
 #include "telemetry/telemetry.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <ostream>
-#include <sstream>
+#include "util/json.hpp"
 
 namespace nofis::telemetry {
+
+using util::Json;
 
 namespace detail {
 std::atomic<RunTrace*> g_active{nullptr};
@@ -111,95 +110,40 @@ ScopedSpan::~ScopedSpan() {
     if (trace_->current_ == node_) trace_->current_ = parent_;
 }
 
-void write_json_string(std::ostream& os, std::string_view s) {
-    os << '"';
-    for (const char ch : s) {
-        switch (ch) {
-            case '"': os << "\\\""; break;
-            case '\\': os << "\\\\"; break;
-            case '\n': os << "\\n"; break;
-            case '\r': os << "\\r"; break;
-            case '\t': os << "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(
-                                      static_cast<unsigned char>(ch)));
-                    os << buf;
-                } else {
-                    os << ch;
-                }
-        }
-    }
-    os << '"';
-}
-
-void write_json_number(std::ostream& os, double v) {
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    // Shortest round-trippable decimal; printf-style so the caller's
-    // stream precision/flags are irrelevant (and untouched).
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
-}
-
 namespace {
 
-void write_span(std::ostream& os, const SpanNode& node) {
-    os << "{\"name\":";
-    write_json_string(os, node.name);
-    os << ",\"wall_ms\":";
-    write_json_number(os, node.wall_ms);
-    os << ",\"count\":" << node.count;
+Json span_json(const SpanNode& node) {
+    Json span = Json::object();
+    span.set("name", Json::string(node.name));
+    span.set("wall_ms", Json::number(node.wall_ms));
+    span.set("count", Json::number_u64(node.count));
     if (!node.children.empty()) {
-        os << ",\"children\":[";
-        for (std::size_t i = 0; i < node.children.size(); ++i) {
-            if (i > 0) os << ',';
-            write_span(os, *node.children[i]);
-        }
-        os << ']';
+        Json children = Json::array();
+        for (const auto& child : node.children)
+            children.push_back(span_json(*child));
+        span.set("children", std::move(children));
     }
-    os << '}';
+    return span;
 }
 
 }  // namespace
 
-void RunTrace::write_json(std::ostream& os) const {
-    os << "{\"schema\":\"nofis-metrics-v1\"";
-    os << ",\"spans\":";
-    write_span(os, root_);
+std::string RunTrace::to_json() const {
+    Json doc = Json::object();
+    doc.set("schema", Json::string("nofis-metrics-v1"));
+    doc.set("spans", span_json(root_));
+    Json counters = Json::object();
+    Json metrics = Json::object();
     {
         std::lock_guard lock(mutex_);
-        os << ",\"counters\":{";
-        bool first = true;
-        for (const auto& [name, value] : counters_) {
-            if (!first) os << ',';
-            first = false;
-            write_json_string(os, name);
-            os << ':' << value;
-        }
-        os << "},\"metrics\":{";
-        first = true;
-        for (const auto& [name, value] : metrics_) {
-            if (!first) os << ',';
-            first = false;
-            write_json_string(os, name);
-            os << ':';
-            write_json_number(os, value);
-        }
-        os << '}';
+        for (const auto& [name, value] : counters_)
+            counters.set(name, Json::number_u64(value));
+        for (const auto& [name, value] : metrics_)
+            metrics.set(name, Json::number(value));
     }
-    os << '}';
-}
-
-std::string RunTrace::to_json() const {
-    std::ostringstream os;
-    write_json(os);
-    return os.str();
+    doc.set("counters", std::move(counters));
+    doc.set("metrics", std::move(metrics));
+    return doc.encode();
 }
 
 }  // namespace nofis::telemetry

@@ -176,7 +176,7 @@ TEST_F(ClusterFixture, FrontAnswersPingAndForwardsListModels) {
     const Response pong = client.call(ping);
     ASSERT_TRUE(pong.ok);
     EXPECT_EQ(pong.id, 3u);
-    const serve::Json* workers = pong.result.find("workers");
+    const util::Json* workers = pong.result.find("workers");
     ASSERT_NE(workers, nullptr);
     EXPECT_EQ(workers->as_u64(), 2u);
 
@@ -317,16 +317,18 @@ TEST_F(ClusterFixture, AggregatedMetricsCoverEveryWorker) {
     std::ifstream in(cfg.metrics_out);
     std::stringstream buf;
     buf << in.rdbuf();
-    const serve::Json doc = serve::Json::parse(buf.str());
+    const util::Json doc = util::Json::parse(buf.str());
     EXPECT_EQ(doc.find("schema")->as_string(), "nofis-cluster-metrics-v1");
     EXPECT_EQ(doc.find("workers")->as_u64(), 2u);
-    const serve::Json* per_worker = doc.find("per_worker");
+    const util::Json* per_worker = doc.find("per_worker");
     ASSERT_NE(per_worker, nullptr);
     ASSERT_EQ(per_worker->size(), 2u);
+    for (std::size_t i = 0; i < per_worker->size(); ++i)
+        EXPECT_TRUE(per_worker->at(i).find("record")->is_object()) << i;
     // Both workers took traffic, and the fleet totals add their counters.
-    const serve::Json* fleet = doc.find("fleet");
+    const util::Json* fleet = doc.find("fleet");
     ASSERT_NE(fleet, nullptr);
-    const serve::Json* counters = fleet->find("counters");
+    const util::Json* counters = fleet->find("counters");
     ASSERT_NE(counters, nullptr);
     std::uint64_t fleet_requests = 0;
     for (const auto& [name, value] : counters->members())

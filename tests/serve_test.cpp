@@ -137,10 +137,10 @@ TEST(StackInfo, MissingFileThrows) {
 
 TEST(ServeProtocol, JsonRoundTripsSeedsExactly) {
     const std::uint64_t big = 0xfedcba9876543210ULL;
-    serve::Json doc = serve::Json::object();
-    doc.set("seed", serve::Json::number_u64(big));
-    doc.set("x", serve::Json::number(0.1));
-    const auto parsed = serve::Json::parse(doc.encode());
+    util::Json doc = util::Json::object();
+    doc.set("seed", util::Json::number_u64(big));
+    doc.set("x", util::Json::number(0.1));
+    const auto parsed = util::Json::parse(doc.encode());
     EXPECT_EQ(parsed.find("seed")->as_u64(), big);
     EXPECT_EQ(parsed.find("x")->as_double(), 0.1);
 }
@@ -168,6 +168,31 @@ TEST(ServeProtocol, RequestDecodeValidates) {
     expect_bad(R"({"op":"sample","model":"m","n":0})");    // zero rows
     expect_bad(R"({"op":"estimate","model":"m"})");        // missing case
     expect_bad(R"({"op":"log_prob","model":"m","x":[[1],[1,2]]})");  // ragged
+    // Doubles outside [0, 2^64) are not unsigned integers (the cast is UB).
+    expect_bad(R"({"op":"sample","model":"m","n":1e300})");
+    expect_bad(R"({"op":"sample","model":"m","seed":1e20})");
+    // A worker index past INT64_MAX would wrap to "no worker given".
+    expect_bad(R"({"op":"drain","worker":18446744073709551615})");
+}
+
+TEST(ServeProtocol, DeeplyNestedRequestIsBadRequestNotACrash) {
+    const auto nested = [](std::size_t depth) {
+        return R"({"op":"ping","x":)" + std::string(depth, '[') +
+               std::string(depth, ']') + "}";
+    };
+    EXPECT_EQ(Request::decode(nested(util::Json::kMaxDepth - 1)).op,
+              Op::kPing);
+    for (const std::size_t depth :
+         {std::size_t{300000}, util::Json::kMaxDepth}) {
+        try {
+            Request::decode(nested(depth));
+            FAIL() << "expected ServeError at depth " << depth;
+        } catch (const serve::ServeError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+            EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+                      std::string::npos);
+        }
+    }
 }
 
 TEST(ServeProtocol, RequestEncodeDecodeRoundTrip) {
@@ -442,8 +467,8 @@ TEST_F(ServeFixture, BatchedSampleMatchesStandaloneStackSample) {
     req.n = 4;
     const Response res = client.call(req);
     ASSERT_TRUE(res.ok) << res.error_message;
-    const serve::Json* z = res.result.find("z");
-    const serve::Json* log_q = res.result.find("log_q");
+    const util::Json* z = res.result.find("z");
+    const util::Json* log_q = res.result.find("log_q");
     ASSERT_NE(z, nullptr);
     ASSERT_NE(log_q, nullptr);
     ASSERT_EQ(z->size(), 4u);

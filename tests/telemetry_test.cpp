@@ -1,13 +1,12 @@
 // Tests for the telemetry/observability layer (src/telemetry) and the
 // correctness fixes that rode along with it: span nesting and counter
-// accumulation, JSON well-formedness of the exported record, the
+// accumulation, byte stability and round trip of the exported record, the
 // zero-perturbation contract (estimates bitwise identical with telemetry on
 // or off), RAII stream-state guarding in the serializer and diagnostics,
 // strict CLI numeric parsing, and corrupt-flow-file rejection.
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <iomanip>
@@ -23,6 +22,7 @@
 #include "telemetry/telemetry.hpp"
 #include "testcases/synthetic.hpp"
 #include "util/ios_guard.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -33,106 +33,6 @@ using namespace nofis;
 /// active sink into each other.
 struct TraceGuard {
     ~TraceGuard() { telemetry::set_active(nullptr); }
-};
-
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON syntax checker — enough to assert the
-// exporter always emits a parseable document (objects, arrays, strings,
-// numbers, literals; no extensions).
-// ---------------------------------------------------------------------------
-
-class JsonChecker {
-public:
-    explicit JsonChecker(std::string text) : s_(std::move(text)) {}
-
-    bool valid() {
-        skip_ws();
-        if (!value()) return false;
-        skip_ws();
-        return pos_ == s_.size();
-    }
-
-private:
-    const std::string s_;
-    std::size_t pos_ = 0;
-
-    void skip_ws() {
-        while (pos_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-    }
-    bool eat(char c) {
-        if (pos_ < s_.size() && s_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-    bool literal(const char* lit) {
-        const std::size_t n = std::char_traits<char>::length(lit);
-        if (s_.compare(pos_, n, lit) != 0) return false;
-        pos_ += n;
-        return true;
-    }
-    bool string() {
-        if (!eat('"')) return false;
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            if (s_[pos_] == '\\') {
-                ++pos_;
-                if (pos_ >= s_.size()) return false;
-            }
-            ++pos_;
-        }
-        return eat('"');
-    }
-    bool number() {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-                s_[pos_] == '+' || s_[pos_] == '-'))
-            ++pos_;
-        return pos_ > start;
-    }
-    bool value() {
-        skip_ws();
-        if (pos_ >= s_.size()) return false;
-        const char c = s_[pos_];
-        if (c == '{') return object();
-        if (c == '[') return array();
-        if (c == '"') return string();
-        if (c == 't') return literal("true");
-        if (c == 'f') return literal("false");
-        if (c == 'n') return literal("null");
-        return number();
-    }
-    bool object() {
-        if (!eat('{')) return false;
-        skip_ws();
-        if (eat('}')) return true;
-        for (;;) {
-            skip_ws();
-            if (!string()) return false;
-            skip_ws();
-            if (!eat(':')) return false;
-            if (!value()) return false;
-            skip_ws();
-            if (eat('}')) return true;
-            if (!eat(',')) return false;
-        }
-    }
-    bool array() {
-        if (!eat('[')) return false;
-        skip_ws();
-        if (eat(']')) return true;
-        for (;;) {
-            if (!value()) return false;
-            skip_ws();
-            if (eat(']')) return true;
-            if (!eat(',')) return false;
-        }
-    }
 };
 
 // ---------------------------------------------------------------------------
@@ -240,8 +140,7 @@ TEST(TelemetryJson, RecordIsWellFormed) {
     telemetry::set_active(nullptr);
 
     const std::string json = trace.to_json();
-    JsonChecker checker(json);
-    EXPECT_TRUE(checker.valid()) << json;
+    EXPECT_NO_THROW(util::Json::parse(json)) << json;
     EXPECT_NE(json.find("\"schema\":\"nofis-metrics-v1\""), std::string::npos);
     EXPECT_NE(json.find("\"wall_ms\""), std::string::npos);
     EXPECT_NE(json.find("\"ess_all\""), std::string::npos);
@@ -255,8 +154,106 @@ TEST(TelemetryJson, RecordIsWellFormed) {
 
 TEST(TelemetryJson, EmptyTraceStillParses) {
     const telemetry::RunTrace trace;
-    JsonChecker checker(trace.to_json());
-    EXPECT_TRUE(checker.valid()) << trace.to_json();
+    const util::Json doc = util::Json::parse(trace.to_json());
+    EXPECT_EQ(doc.find("schema")->as_string(), "nofis-metrics-v1");
+    EXPECT_TRUE(doc.find("counters")->members().empty());
+}
+
+const std::string kHostileName = "weird \"name\"\n\t\\";
+const std::string kControlName = "ctrl\x01\x1f\xc3\xa9";
+
+/// A record built without a clock (span fields set directly), covering
+/// escapes, control bytes, UTF-8, u64 extremes and non-finite numbers.
+void fill_fixed_trace(telemetry::RunTrace& trace) {
+    telemetry::SpanNode& run = trace.root().find_or_add("nofis_run");
+    run.wall_ms = 1234.5;
+    run.count = 1;
+    telemetry::SpanNode& stage = run.find_or_add("stage_1");
+    stage.wall_ms = 1.0 / 3.0;
+    stage.count = UINT64_MAX;
+    telemetry::SpanNode& odd = stage.find_or_add(kHostileName);
+    odd.wall_ms = INFINITY;
+    odd.count = 7;
+    run.find_or_add("final_is").wall_ms = 5e-324;
+    trace.add_counter("calls", 123);
+    trace.add_counter(kHostileName, 1);
+    trace.add_counter(kControlName, UINT64_MAX);
+    trace.set_metric("ess_all", 45.5);
+    trace.set_metric("bad_metric", std::nan(""));
+    trace.set_metric("big_metric", INFINITY);
+    trace.set_metric("neg_metric", -INFINITY);
+    trace.set_metric("tiny", -2.5e-310);
+    trace.set_metric("third", 0.1 + 0.2);
+}
+
+// Every --metrics-out file is spelled this way; a change here is a format
+// change for every reader of nofis-metrics-v1.
+TEST(TelemetryJson, FixedRecordBytesAreStable) {
+    telemetry::RunTrace trace;
+    fill_fixed_trace(trace);
+    EXPECT_EQ(
+        trace.to_json(),
+        R"({"schema":"nofis-metrics-v1","spans":{"name":"run",)"
+        R"("wall_ms":0,"count":0,"children":[{"name":"nofis_run",)"
+        R"("wall_ms":1234.5,"count":1,"children":[{"name":"stage_1",)"
+        R"("wall_ms":0.33333333333333331,"count":18446744073709551615,)"
+        R"("children":[{"name":"weird \"name\"\n\t\\","wall_ms":null,)"
+        R"("count":7}]},{"name":"final_is",)"
+        R"("wall_ms":4.9406564584124654e-324,"count":0}]}]},)"
+        R"("counters":{"calls":123,"ctrl\u0001\u001f)" "\xc3\xa9"
+        R"(":18446744073709551615,"weird \"name\"\n\t\\":1},)"
+        R"("metrics":{"bad_metric":null,"big_metric":null,"ess_all":45.5,)"
+        R"("neg_metric":null,"third":0.30000000000000004,)"
+        R"("tiny":-2.5000000000000171e-310}})");
+}
+
+TEST(TelemetryJson, FixedRecordRoundTrips) {
+    telemetry::RunTrace trace;
+    fill_fixed_trace(trace);
+    const util::Json doc = util::Json::parse(trace.to_json());
+    EXPECT_EQ(doc.find("schema")->as_string(), "nofis-metrics-v1");
+
+    // Counter names come back byte-exact, in std::map order.
+    const auto& counters = doc.find("counters")->members();
+    ASSERT_EQ(counters.size(), 3u);
+    EXPECT_EQ(counters[0].first, "calls");
+    EXPECT_EQ(counters[1].first, kControlName);
+    EXPECT_EQ(counters[1].second.as_u64(), UINT64_MAX);
+    EXPECT_EQ(counters[2].first, kHostileName);
+    EXPECT_EQ(counters[2].second.as_u64(), 1u);
+
+    const util::Json* metrics = doc.find("metrics");
+    for (const char* name : {"bad_metric", "big_metric", "neg_metric"})
+        EXPECT_TRUE(metrics->find(name)->is_null()) << name;
+    EXPECT_EQ(metrics->find("ess_all")->as_double(), 45.5);
+    EXPECT_EQ(metrics->find("tiny")->as_double(), -2.5e-310);
+    EXPECT_EQ(metrics->find("third")->as_double(), 0.1 + 0.2);
+
+    const util::Json& run = doc.find("spans")->find("children")->at(0);
+    EXPECT_EQ(run.find("name")->as_string(), "nofis_run");
+    const util::Json& stage = run.find("children")->at(0);
+    EXPECT_EQ(stage.find("count")->as_u64(), UINT64_MAX);
+    const util::Json& odd = stage.find("children")->at(0);
+    EXPECT_EQ(odd.find("name")->as_string(), kHostileName);
+    EXPECT_TRUE(odd.find("wall_ms")->is_null());
+    EXPECT_EQ(run.find("children")->at(1).find("wall_ms")->as_double(),
+              5e-324);
+}
+
+// The parser caps nesting at util::Json::kMaxDepth; a span tree far deeper
+// than any instrumented run still parses, also wrapped the way the cluster
+// front nests worker records.
+TEST(TelemetryJson, DeepSpanTreeStillParses) {
+    telemetry::RunTrace trace;
+    telemetry::SpanNode* node = &trace.root();
+    for (int i = 0; i < 100; ++i) node = &node->find_or_add("level");
+    node->count = 42;
+    const util::Json doc = util::Json::parse(
+        R"({"per_worker":[{"record":)" + trace.to_json() + "}]}");
+    const util::Json* span =
+        doc.find("per_worker")->at(0).find("record")->find("spans");
+    for (int i = 0; i < 100; ++i) span = &span->find("children")->at(0);
+    EXPECT_EQ(span->find("count")->as_u64(), 42u);
 }
 
 // ---------------------------------------------------------------------------
