@@ -341,7 +341,7 @@ int cmd_reuse(int argc, char** argv) {
         problem = &*cached;
     }
     rng::Engine eng(seed);
-    core::IsDiagnostics diag;
+    estimators::IsDiagnostics diag;
     // Latent-space exploration on a reloaded stack (DESIGN.md §16): the
     // chains need the tempered-target shape, which comes from the case's
     // own budget (τ and the first, easiest level of its schedule).

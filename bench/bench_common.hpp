@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/nofis.hpp"
-#include "estimators/latent_explore_is.hpp"
 #include "evalcache/cached_problem.hpp"
 #include "evalcache/eval_cache.hpp"
 #include "linalg/kernels/kernels.hpp"
@@ -115,7 +114,7 @@ inline std::unique_ptr<estimators::Estimator> make_estimator(
         cfg.final_samples = bb.ais_final_samples;
         return std::make_unique<estimators::AdaptiveIsEstimator>(cfg);
     }
-    if (nofis_family(method)) {
+    if (method == "NOFIS" || method == "NOFIS-LE") {
         const auto nb = tc.nofis_budget();
         auto cfg = nofis_config_from_budget(nb);
         if (!coupling_override.empty())
@@ -125,12 +124,9 @@ inline std::unique_ptr<estimators::Estimator> make_estimator(
             cfg.cache = std::move(cache);
             cfg.cache_key = testcases::cache_key(tc);
         }
-        if (method == "NOFIS-LE")
-            return std::make_unique<estimators::LatentExploreIs>(
-                std::move(cfg), core::LevelSchedule::manual(nb.levels));
-        if (method == "NOFIS")
-            return std::make_unique<core::NofisEstimator>(
-                std::move(cfg), core::LevelSchedule::manual(nb.levels));
+        if (method == "NOFIS-LE") cfg.latent.enabled = true;
+        return std::make_unique<core::NofisEstimator>(
+            std::move(cfg), core::LevelSchedule::manual(nb.levels));
     }
     throw std::invalid_argument("make_estimator: unknown method " + method);
 }

@@ -36,13 +36,4 @@ double AcSolution::gain_db(NodeId out, NodeId in) const {
     return 20.0 * std::log10(num / den);
 }
 
-std::vector<double> ac_magnitude_sweep(const Netlist& netlist, NodeId out,
-                                       std::span<const double> freqs_hz) {
-    std::vector<double> mags;
-    mags.reserve(freqs_hz.size());
-    for (double f : freqs_hz)
-        mags.push_back(std::abs(AcSolution(netlist, f).voltage(out)));
-    return mags;
-}
-
 }  // namespace nofis::circuit

@@ -22,8 +22,4 @@ private:
     std::vector<std::complex<double>> x_;
 };
 
-/// Magnitude response sweep of v(out) over the given frequencies.
-std::vector<double> ac_magnitude_sweep(const Netlist& netlist, NodeId out,
-                                       std::span<const double> freqs_hz);
-
 }  // namespace nofis::circuit

@@ -136,7 +136,7 @@ flow::CouplingStack::Samples sample_defensive_mixture(
 
 RunHealth run_health(const estimators::FaultReport& faults,
                      const std::vector<StageDiagnostics>& stages,
-                     const IsDiagnostics& is_diag) {
+                     const estimators::IsDiagnostics& is_diag) {
     RunHealth health;
     health.faults = faults;
     health.g_retry_calls = faults.retry_attempts;
@@ -156,7 +156,7 @@ RunHealth run_health(const estimators::FaultReport& faults,
 /// active telemetry record (counters accumulate across repeated runs;
 /// metrics hold the last run's values).
 void record_run_telemetry(const EstimateResult& est, const RunHealth& health,
-                          const IsDiagnostics& is_diag) {
+                          const estimators::IsDiagnostics& is_diag) {
     evalcache::report_call_split(est.calls, est.cached_calls);
     telemetry::RunTrace* tr = telemetry::active();
     if (tr == nullptr) return;
@@ -598,69 +598,18 @@ NofisEstimator::RunResult NofisEstimator::run(
 EstimateResult NofisEstimator::importance_estimate(
     const flow::CouplingStack& trained_flow,
     const estimators::RareEventProblem& problem, rng::Engine& eng,
-    std::size_t n_is, IsDiagnostics* diag, double defensive_weight,
-    double defensive_sigma) {
-    // The final Eq. (2) estimate — one span whether reached from run() (it
-    // nests under the run's trace) or standalone via the CLI reuse path.
-    const telemetry::ScopedSpan is_span("final_is");
-    telemetry::count("g_calls.final_is", n_is);
+    std::size_t n_is, estimators::IsDiagnostics* diag,
+    double defensive_weight, double defensive_sigma) {
     CountedProblem counted(problem);
-
-    const flow::CouplingStack::Samples draws =
-        defensive_weight <= 0.0
-            ? trained_flow.sample(eng, n_is, trained_flow.num_blocks())
-            : sample_defensive_mixture(trained_flow, eng, n_is,
-                                       defensive_weight, defensive_sigma);
-    const linalg::Matrix& z = draws.z;
-    const std::vector<double>& log_q = draws.log_q;
-
-    // Batched g over all proposal draws (parallel, row-order call indices);
-    // every reduction below stays serial in row order, so the estimate is
-    // bitwise identical at any thread count.
-    const std::vector<double> g_vals = counted.g_rows(z);
-
-    double total = 0.0;
-    IsDiagnostics d;
-    d.draws = n_is;
-    double sum_w = 0.0;
-    double sum_w2 = 0.0;
-    // Raw-weight moments over ALL draws (no failure indicator): the
-    // standard early warnings for proposal collapse — a low all-draw ESS or
-    // a large weight CV flags a mismatched q long before the hit-restricted
-    // ESS reacts.
-    double all_sum_w = 0.0;
-    double all_sum_w2 = 0.0;
-    for (std::size_t r = 0; r < n_is; ++r) {
-        const auto zr = z.row_span(r);
-        const double raw_w =
-            std::exp(rng::standard_normal_log_pdf(zr) - log_q[r]);
-        all_sum_w += raw_w;
-        all_sum_w2 += raw_w * raw_w;
-        const double gv = g_vals[r];
-        if (gv > 0.0) continue;
-        total += raw_w;
-        sum_w += raw_w;
-        sum_w2 += raw_w * raw_w;
-        d.max_weight = std::max(d.max_weight, raw_w);
-        ++d.hits;
-    }
-    EstimateResult res;
-    res.p_hat = total / static_cast<double>(n_is);
-    res.calls = counted.calls();
-    res.failed = !std::isfinite(res.p_hat);
-    d.effective_sample_size =
-        sum_w2 > 0.0 ? (sum_w * sum_w) / sum_w2 : 0.0;
-    d.ess_all =
-        all_sum_w2 > 0.0 ? (all_sum_w * all_sum_w) / all_sum_w2 : 0.0;
-    if (n_is > 0 && all_sum_w > 0.0) {
-        const double mean_w = all_sum_w / static_cast<double>(n_is);
-        const double var_w =
-            std::max(all_sum_w2 / static_cast<double>(n_is) - mean_w * mean_w,
-                     0.0);
-        d.weight_cv = std::sqrt(var_w) / mean_w;
-    }
-    if (diag != nullptr) *diag = d;
-    return res;
+    const auto draw = [&] {
+        flow::CouplingStack::Samples s =
+            defensive_weight <= 0.0
+                ? trained_flow.sample(eng, n_is, trained_flow.num_blocks())
+                : sample_defensive_mixture(trained_flow, eng, n_is,
+                                           defensive_weight, defensive_sigma);
+        return estimators::ProposalDraws{std::move(s.z), std::move(s.log_q)};
+    };
+    return estimators::final_is_estimate(counted, draw, diag);
 }
 
 }  // namespace nofis::core

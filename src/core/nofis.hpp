@@ -146,7 +146,7 @@ public:
     struct RunResult {
         estimators::EstimateResult estimate;
         std::vector<StageDiagnostics> stages;
-        IsDiagnostics is_diag;
+        estimators::IsDiagnostics is_diag;
         RunHealth health;  ///< faults, rollbacks, proposal-quality signals
         std::unique_ptr<flow::CouplingStack> flow;  ///< trained model
         /// Exploration ledger when cfg.latent.enabled (zeros otherwise).
@@ -167,7 +167,7 @@ public:
     static estimators::EstimateResult importance_estimate(
         const flow::CouplingStack& trained_flow,
         const estimators::RareEventProblem& problem, rng::Engine& eng,
-        std::size_t n_is, IsDiagnostics* diag = nullptr,
+        std::size_t n_is, estimators::IsDiagnostics* diag = nullptr,
         double defensive_weight = 0.0, double defensive_sigma = 1.5);
 
     const NofisConfig& config() const noexcept { return cfg_; }

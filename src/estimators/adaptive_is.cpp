@@ -56,27 +56,19 @@ EstimateResult AdaptiveIsEstimator::estimate(const RareEventProblem& raw,
     }
 
     // Final IS estimate with the adapted proposal.
-    const linalg::Matrix x = proposal.sample(eng, cfg_.final_samples);
-    const std::vector<double> gv = problem.g_rows(x);
-    double total = 0.0;
-    std::size_t hits = 0;
-    for (std::size_t r = 0; r < gv.size(); ++r) {
-        if (gv[r] > 0.0) continue;
-        const auto xr = x.row_span(r);
-        total += std::exp(rng::standard_normal_log_pdf(xr) -
-                          proposal.log_pdf(xr));
-        ++hits;
-    }
-
-    EstimateResult res;
-    res.p_hat = total / static_cast<double>(cfg_.final_samples);
-    res.calls = problem.calls();
-    if (hits == 0) {
+    const auto draw = [&] {
+        ProposalDraws d{proposal.sample(eng, cfg_.final_samples), {}};
+        for (std::size_t r = 0; r < d.x.rows(); ++r)
+            d.log_q.push_back(proposal.log_pdf(d.x.row_span(r)));
+        return d;
+    };
+    IsDiagnostics diag;
+    EstimateResult res = final_is_estimate(problem, draw, &diag);
+    if (diag.hits == 0 && res.detail.empty()) {
         // The adapted proposal never reached the failure region: the classic
         // Adapt-IS collapse mode that Table 1 marks with huge errors.
         res.detail = "no failure hits with adapted proposal";
     }
-    res.failed = !std::isfinite(res.p_hat);
     return res;
 }
 

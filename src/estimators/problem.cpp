@@ -1,10 +1,15 @@
 #include "estimators/problem.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <exception>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "parallel/thread_pool.hpp"
+#include "rng/normal.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace nofis::estimators {
 
@@ -60,6 +65,67 @@ std::vector<double> CountedProblem::g_grad_rows(const linalg::Matrix& x,
     for (std::size_t r = 0; r < x.rows(); ++r)
         out[r] = g_grad(x.row_span(r), grad_out.row_span(r));
     return out;
+}
+
+EstimateResult final_is_estimate(CountedProblem& problem,
+                                 const std::function<ProposalDraws()>& draw,
+                                 IsDiagnostics* diag) {
+    const telemetry::ScopedSpan is_span("final_is");
+    const ProposalDraws draws = draw();
+    const linalg::Matrix& x = draws.x;
+    const std::size_t n = x.rows();
+    if (draws.log_q.size() != n)
+        throw std::invalid_argument("final_is_estimate: log_q size mismatch");
+    telemetry::count("g_calls.final_is", n);
+    const std::vector<double> g_vals = problem.g_rows(x);
+
+    IsDiagnostics d;
+    d.draws = n;
+    double sum_w = 0.0;
+    double sum_w2 = 0.0;
+    // Raw-weight moments over ALL draws (no failure indicator): the
+    // standard early warnings for proposal collapse — a low all-draw ESS or
+    // a large weight CV flags a mismatched q long before the hit-restricted
+    // ESS reacts.
+    double all_sum_w = 0.0;
+    double all_sum_w2 = 0.0;
+    std::size_t non_finite = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        const double w =
+            std::exp(rng::standard_normal_log_pdf(x.row_span(r)) -
+                     draws.log_q[r]);
+        all_sum_w += w;
+        all_sum_w2 += w * w;
+        const double gv = g_vals[r];
+        if (!std::isfinite(gv)) {
+            ++non_finite;
+            continue;
+        }
+        if (gv > 0.0) continue;
+        sum_w += w;
+        sum_w2 += w * w;
+        d.max_weight = std::max(d.max_weight, w);
+        ++d.hits;
+    }
+    EstimateResult res;
+    res.p_hat = non_finite > 0 ? std::numeric_limits<double>::quiet_NaN()
+                               : sum_w / static_cast<double>(n);
+    res.calls = problem.calls();
+    res.failed = !std::isfinite(res.p_hat);
+    if (non_finite > 0)
+        res.detail = std::to_string(non_finite) + " of " + std::to_string(n) +
+                     " final-IS g values are non-finite";
+    d.effective_sample_size = sum_w2 > 0.0 ? (sum_w * sum_w) / sum_w2 : 0.0;
+    d.ess_all =
+        all_sum_w2 > 0.0 ? (all_sum_w * all_sum_w) / all_sum_w2 : 0.0;
+    if (n > 0 && all_sum_w > 0.0) {
+        const double mean_w = all_sum_w / static_cast<double>(n);
+        const double var_w = std::max(
+            all_sum_w2 / static_cast<double>(n) - mean_w * mean_w, 0.0);
+        d.weight_cv = std::sqrt(var_w) / mean_w;
+    }
+    if (diag != nullptr) *diag = d;
+    return res;
 }
 
 double log_error(double p_hat, double golden, double floor) {

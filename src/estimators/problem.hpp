@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -124,6 +125,44 @@ struct EstimateResult {
     bool failed = false;      ///< algorithm collapse ("—" entries in Table 1)
     std::string detail;       ///< optional human-readable diagnostics
 };
+
+/// Diagnostics for the final importance-sampling estimate.
+struct IsDiagnostics {
+    double max_weight = 0.0;        ///< largest p/q ratio observed
+    double effective_sample_size = 0.0;  ///< (Σw)² / Σw² over hit samples
+    std::size_t hits = 0;           ///< samples that landed inside Ω
+    std::size_t draws = 0;          ///< total proposal draws (N_IS)
+
+    // Proposal-quality early warnings, computed over the *raw* importance
+    // weights p/q of ALL draws (no failure indicator). A collapsing
+    // proposal shows up here as ess_all ≪ draws and weight_cv ≫ 1 long
+    // before the hit-restricted ESS reacts.
+    double ess_all = 0.0;    ///< (Σw)² / Σw² over every proposal draw
+    double weight_cv = 0.0;  ///< std(w) / mean(w) over every proposal draw
+};
+
+/// Proposal draws for a final importance-sampling estimate: one draw per
+/// row of `x`, with its exact log-density under the proposal.
+struct ProposalDraws {
+    linalg::Matrix x;
+    std::vector<double> log_q;
+};
+
+/// The final importance-sampling estimate of Eq. (2),
+///     p̂ = (1/N) Σ_r 1[g(x_r) ≤ 0] · p(x_r) / q(x_r),
+/// with p = N(0, I). Every proposal — the trained flow, its defensive
+/// mixtures, the latent mixture and Adapt-IS's adapted mixture — ends here.
+///
+/// Opens the "final_is" span (so it times the proposal `draw` too), counts
+/// `g_calls.final_is`, evaluates g in one batched `problem.g_rows`
+/// (row-order call indices), then reduces serially in row order, so the
+/// estimate is bitwise identical at any thread count. `calls` is
+/// `problem.calls()` after the batch. A non-finite g value cannot be
+/// classified, so any such row makes the estimate fail (p̂ = NaN) instead
+/// of counting it as a hit or a miss.
+EstimateResult final_is_estimate(CountedProblem& problem,
+                                 const std::function<ProposalDraws()>& draw,
+                                 IsDiagnostics* diag = nullptr);
 
 /// Common interface for the NOFIS estimator and the six baselines.
 class Estimator {

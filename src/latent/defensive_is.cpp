@@ -3,28 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "rng/normal.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace nofis::latent {
 
-estimators::EstimateResult defensive_estimate(
-    const flow::CouplingStack& trained_flow,
-    const estimators::RareEventProblem& problem, rng::Engine& eng,
-    std::size_t n_draws, const dist::GaussianMixture& refined, double alpha,
-    core::IsDiagnostics* diag) {
-    if (!(alpha > 0.0) || alpha > 1.0)
-        throw std::invalid_argument(
-            "latent::defensive_estimate: alpha must be in (0, 1]");
+namespace {
+
+/// n draws from the latent mixture α·N(0, I) + (1−α)·refined, pushed
+/// through the trained flow, with their exact pushforward log-densities.
+estimators::ProposalDraws latent_mixture_draws(
+    const flow::CouplingStack& trained_flow, rng::Engine& eng,
+    std::size_t n_draws, const dist::GaussianMixture& refined, double alpha) {
     const std::size_t d_dim = trained_flow.dim();
-    if (refined.dim() != d_dim)
-        throw std::invalid_argument(
-            "latent::defensive_estimate: refined mixture dim mismatch");
-    const std::size_t blocks = trained_flow.num_blocks();
-    const telemetry::ScopedSpan is_span("final_is");
-    telemetry::count("g_calls.final_is", n_draws);
-    estimators::CountedProblem counted(problem);
 
     // Component choice per draw, then batched sampling of each component.
     const double lw_flow = std::log(alpha);
@@ -43,7 +35,7 @@ estimators::EstimateResult defensive_estimate(
     // Exact latent mixture log-density per draw (both components are
     // closed-form in base space; no inverse transport needed).
     linalg::Matrix z0(n_draws, d_dim);
-    std::vector<double> log_mix(n_draws);
+    std::vector<double> log_q(n_draws);
     std::size_t ir = 0;
     std::size_t ib = 0;
     for (std::size_t r = 0; r < n_draws; ++r) {
@@ -53,56 +45,39 @@ estimators::EstimateResult defensive_estimate(
         const double a = lw_flow + rng::standard_normal_log_pdf(row);
         const double b = lw_ref + refined.log_pdf(row);
         const double m = std::max(a, b);
-        log_mix[r] = m + std::log(std::exp(a - m) + std::exp(b - m));
+        log_q[r] = m + std::log(std::exp(a - m) + std::exp(b - m));
     }
 
     // One forward transport for every draw; the pushforward density only
-    // needs the forward log-det.
+    // needs the forward log-det: log q_x(T(z)) = log q_z(z) − log|det|.
     std::vector<double> log_det(n_draws, 0.0);
-    const linalg::Matrix x =
-        trained_flow.transport_range(z0, 0, blocks, log_det);
+    linalg::Matrix x =
+        trained_flow.transport_range(z0, 0, trained_flow.num_blocks(), log_det);
+    for (std::size_t r = 0; r < n_draws; ++r) log_q[r] -= log_det[r];
+    return {std::move(x), std::move(log_q)};
+}
 
-    // Batched g (parallel, row-order call indices); serial row-order
-    // reduction keeps the estimate bitwise identical at any thread count.
-    const std::vector<double> g_vals = counted.g_rows(x);
+}  // namespace
 
-    double total = 0.0;
-    core::IsDiagnostics d;
-    d.draws = n_draws;
-    double sum_w = 0.0;
-    double sum_w2 = 0.0;
-    double all_sum_w = 0.0;
-    double all_sum_w2 = 0.0;
-    for (std::size_t r = 0; r < n_draws; ++r) {
-        const auto xr = x.row_span(r);
-        const double log_q = log_mix[r] - log_det[r];
-        const double raw_w =
-            std::exp(rng::standard_normal_log_pdf(xr) - log_q);
-        all_sum_w += raw_w;
-        all_sum_w2 += raw_w * raw_w;
-        const double gv = g_vals[r];
-        if (gv > 0.0) continue;
-        total += raw_w;
-        sum_w += raw_w;
-        sum_w2 += raw_w * raw_w;
-        d.max_weight = std::max(d.max_weight, raw_w);
-        ++d.hits;
-    }
-    estimators::EstimateResult res;
-    res.p_hat = total / static_cast<double>(n_draws);
-    res.calls = counted.calls();
-    res.failed = !std::isfinite(res.p_hat);
-    d.effective_sample_size = sum_w2 > 0.0 ? (sum_w * sum_w) / sum_w2 : 0.0;
-    d.ess_all =
-        all_sum_w2 > 0.0 ? (all_sum_w * all_sum_w) / all_sum_w2 : 0.0;
-    if (n_draws > 0 && all_sum_w > 0.0) {
-        const double mean_w = all_sum_w / static_cast<double>(n_draws);
-        const double var_w = std::max(
-            all_sum_w2 / static_cast<double>(n_draws) - mean_w * mean_w, 0.0);
-        d.weight_cv = std::sqrt(var_w) / mean_w;
-    }
-    if (diag != nullptr) *diag = d;
-    return res;
+estimators::EstimateResult defensive_estimate(
+    const flow::CouplingStack& trained_flow,
+    const estimators::RareEventProblem& problem, rng::Engine& eng,
+    std::size_t n_draws, const dist::GaussianMixture& refined, double alpha,
+    estimators::IsDiagnostics* diag) {
+    if (!(alpha > 0.0) || alpha > 1.0)
+        throw std::invalid_argument(
+            "latent::defensive_estimate: alpha must be in (0, 1]");
+    if (refined.dim() != trained_flow.dim())
+        throw std::invalid_argument(
+            "latent::defensive_estimate: refined mixture dim mismatch");
+    estimators::CountedProblem counted(problem);
+    return estimators::final_is_estimate(
+        counted,
+        [&] {
+            return latent_mixture_draws(trained_flow, eng, n_draws, refined,
+                                        alpha);
+        },
+        diag);
 }
 
 }  // namespace nofis::latent

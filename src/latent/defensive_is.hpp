@@ -1,6 +1,5 @@
 #pragma once
 
-#include "core/diagnostics.hpp"
 #include "dist/gaussian_mixture.hpp"
 #include "estimators/problem.hpp"
 #include "flow/coupling_stack.hpp"
@@ -16,15 +15,15 @@ namespace nofis::latent {
 /// the full mixture — the estimator is unbiased for any α in (0, 1] and
 /// degenerates to the plain Eq. (2) final IS in the α → 1 limit.
 ///
-/// Mirrors NofisEstimator::importance_estimate's determinism contract: one
-/// batched g_rows over all draws (row-order call indices), serial row-order
-/// reduction, bitwise identical at any thread count. Counts `n_draws` calls
-/// and opens the usual "final_is" span / g_calls.final_is counter so the
+/// The weights are reduced by estimators::final_is_estimate, the same Eq. (2)
+/// reduction as NofisEstimator::importance_estimate: one batched g_rows over
+/// all draws, bitwise identical at any thread count, `n_draws` calls counted
+/// under the "final_is" span / g_calls.final_is counter so the
 /// honest-accounting ledger stays additive.
 estimators::EstimateResult defensive_estimate(
     const flow::CouplingStack& trained_flow,
     const estimators::RareEventProblem& problem, rng::Engine& eng,
     std::size_t n_draws, const dist::GaussianMixture& refined, double alpha,
-    core::IsDiagnostics* diag = nullptr);
+    estimators::IsDiagnostics* diag = nullptr);
 
 }  // namespace nofis::latent

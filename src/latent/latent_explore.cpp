@@ -15,7 +15,7 @@ estimators::EstimateResult explore_and_estimate(
     const flow::CouplingStack& trained_flow,
     const estimators::RareEventProblem& problem, rng::Engine& eng,
     std::size_t n_is_total, double tau, double a_start,
-    const LatentConfig& cfg, core::IsDiagnostics* diag,
+    const LatentConfig& cfg, estimators::IsDiagnostics* diag,
     LatentReport* report) {
     if (cfg.chains == 0 || cfg.steps == 0)
         throw std::invalid_argument(

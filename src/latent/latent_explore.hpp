@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "core/diagnostics.hpp"
 #include "estimators/problem.hpp"
 #include "flow/coupling_stack.hpp"
 #include "latent/anneal.hpp"
@@ -50,7 +49,7 @@ estimators::EstimateResult explore_and_estimate(
     const flow::CouplingStack& trained_flow,
     const estimators::RareEventProblem& problem, rng::Engine& eng,
     std::size_t n_is_total, double tau, double a_start,
-    const LatentConfig& cfg, core::IsDiagnostics* diag = nullptr,
+    const LatentConfig& cfg, estimators::IsDiagnostics* diag = nullptr,
     LatentReport* report = nullptr);
 
 }  // namespace nofis::latent

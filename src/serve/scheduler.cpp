@@ -410,7 +410,7 @@ void BatchScheduler::run_estimate(const std::shared_ptr<const Model>& model,
             problem = &*cached;
         }
         rng::Engine eng(p.req.seed);
-        core::IsDiagnostics diag;
+        estimators::IsDiagnostics diag;
         const auto res = core::NofisEstimator::importance_estimate(
             model->stack, *problem, eng, p.req.n, &diag);
         const std::size_t calls_cached =

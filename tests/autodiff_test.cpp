@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "autodiff/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "autodiff/ops.hpp"
 #include "rng/normal.hpp"
 

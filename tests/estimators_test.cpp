@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <numbers>
+#include <vector>
 
 #include "estimators/adaptive_is.hpp"
 #include "estimators/monte_carlo.hpp"
@@ -291,6 +293,71 @@ TEST(CountedProblem, GradRowsShapesAndCounts) {
     // d(threshold - x0)/dx = (-1, 0, 0) via the FD default.
     EXPECT_NEAR(grads(0, 0), -1.0, 1e-6);
     EXPECT_NEAR(grads(0, 1), 0.0, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// The final importance-sampling reduction (Eq. 2), on hand-built rows
+// ---------------------------------------------------------------------------
+
+/// g(x) = x0 − 1, so the rows below sit at g = −2, −1, 0, 1, 2.
+class ShiftedLine final : public RareEventProblem {
+public:
+    std::size_t dim() const noexcept override { return 2; }
+    double g(std::span<const double> x) const override { return x[0] - 1.0; }
+};
+
+/// Five rows x = (x0, 0.5) with log q = log N(x; 0, I) − ln w_r, so the
+/// importance weights p/q are exactly w = {0.5, 2, 1, 4, 0.25}.
+estimators::ProposalDraws hand_rows() {
+    estimators::ProposalDraws d{
+        {{-1.0, 0.5}, {0.0, 0.5}, {1.0, 0.5}, {2.0, 0.5}, {3.0, 0.5}}, {}};
+    const double w[] = {0.5, 2.0, 1.0, 4.0, 0.25};
+    for (std::size_t r = 0; r < d.x.rows(); ++r) {
+        const double sq = d.x(r, 0) * d.x(r, 0) + d.x(r, 1) * d.x(r, 1);
+        const double log_p = -std::log(2.0 * std::numbers::pi) - 0.5 * sq;
+        d.log_q.push_back(log_p - std::log(w[r]));
+    }
+    return d;
+}
+
+TEST(FinalIs, ExactValuesFromHandBuiltRows) {
+    ShiftedLine prob;
+    CountedProblem counted(prob);
+    estimators::IsDiagnostics d;
+    const auto res = estimators::final_is_estimate(counted, hand_rows, &d);
+    // Hits are g ≤ 0: rows 0..2, the g = 0 row included (w = 0.5, 2, 1).
+    EXPECT_FALSE(res.failed);
+    EXPECT_EQ(res.calls, 5u);
+    EXPECT_EQ(d.draws, 5u);
+    EXPECT_EQ(d.hits, 3u);
+    EXPECT_NEAR(res.p_hat, 3.5 / 5.0, 1e-14);
+    EXPECT_NEAR(d.max_weight, 2.0, 1e-14);
+    // Hit ESS = (Σw)²/Σw² = 3.5² / 5.25.
+    EXPECT_NEAR(d.effective_sample_size, 12.25 / 5.25, 1e-13);
+    // All draws: Σw = 7.75, Σw² = 21.3125.
+    EXPECT_NEAR(d.ess_all, 7.75 * 7.75 / 21.3125, 1e-13);
+    // mean 1.55, E[w²] 4.2625, var 1.86.
+    EXPECT_NEAR(d.weight_cv, std::sqrt(1.86) / 1.55, 1e-13);
+}
+
+TEST(FinalIs, NonFiniteGFailsTheEstimate) {
+    // g is NaN at the g = 1 row: neither a hit nor a miss.
+    class NanAtOne final : public RareEventProblem {
+    public:
+        std::size_t dim() const noexcept override { return 2; }
+        double g(std::span<const double> x) const override {
+            return x[0] == 2.0 ? std::numeric_limits<double>::quiet_NaN()
+                               : x[0] - 1.0;
+        }
+    } prob;
+    CountedProblem counted(prob);
+    estimators::IsDiagnostics d;
+    const auto res = estimators::final_is_estimate(counted, hand_rows, &d);
+    EXPECT_TRUE(res.failed);
+    EXPECT_TRUE(std::isnan(res.p_hat));
+    EXPECT_EQ(res.detail, "1 of 5 final-IS g values are non-finite");
+    EXPECT_EQ(res.calls, 5u);
+    EXPECT_EQ(d.hits, 3u);
 }
 
 }  // namespace

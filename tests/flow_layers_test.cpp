@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "autodiff/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "flow/actnorm.hpp"
 #include "flow/additive_coupling.hpp"
 #include "flow/coupling_stack.hpp"

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "autodiff/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "flow/additive_coupling.hpp"
 #include "flow/coupling.hpp"
 #include "flow/coupling_stack.hpp"

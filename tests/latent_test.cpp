@@ -9,13 +9,16 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "core/levels.hpp"
 #include "core/nofis.hpp"
+#include "dist/gaussian_mixture.hpp"
 #include "estimators/guarded_problem.hpp"
 #include "evalcache/eval_cache.hpp"
 #include "latent/anneal.hpp"
 #include "latent/chain.hpp"
+#include "latent/defensive_is.hpp"
 #include "latent/latent_explore.hpp"
 #include "latent/refine.hpp"
 #include "parallel/thread_pool.hpp"
@@ -257,6 +260,35 @@ TEST(LatentRun, AccuracyAndExactCallAccounting) {
     EXPECT_LT(estimators::log_error(run.estimate.p_hat, prob.analytic()),
               1.0);
     EXPECT_GT(run.is_diag.hits, 0u);
+}
+
+TEST(LatentRun, NonFiniteFinalIsGFailsTheDefensiveEstimate) {
+    // g = 3 − x0, NaN wherever x0 < −1, passed through by the propagate
+    // guard: the latent mixture's final IS must fail, not count NaN as hits.
+    class NanBelowMinusOne final : public estimators::RareEventProblem {
+    public:
+        std::size_t dim() const noexcept override { return 2; }
+        double g(std::span<const double> x) const override {
+            return x[0] < -1.0 ? std::numeric_limits<double>::quiet_NaN()
+                               : 3.0 - x[0];
+        }
+    } raw;
+    estimators::GuardConfig gcfg;
+    gcfg.policy = estimators::GuardConfig::Policy::kPropagate;
+    const estimators::GuardedProblem guarded(raw, gcfg);
+    const auto stack = fresh_stack(2, 21);
+    const dist::GaussianMixture refined({{1.0, {3.0, 0.0}, {0.5, 0.5}}});
+    rng::Engine eng(22);
+    estimators::IsDiagnostics diag;
+    const auto res = latent::defensive_estimate(stack, guarded, eng, 4000,
+                                                refined, 0.8, &diag);
+    EXPECT_TRUE(res.failed);
+    EXPECT_TRUE(std::isnan(res.p_hat));
+    EXPECT_EQ(res.calls, 4000u);
+    const std::string tail = " of 4000 final-IS g values are non-finite";
+    ASSERT_GT(res.detail.size(), tail.size());
+    EXPECT_EQ(res.detail.substr(res.detail.size() - tail.size()), tail);
+    EXPECT_GT(std::stoul(res.detail), 0u);
 }
 
 TEST(LatentRun, HonestLedgerSumsToProblemCalls) {

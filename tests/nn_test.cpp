@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "autodiff/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"

@@ -7,6 +7,8 @@
 
 #include "core/levels.hpp"
 #include "core/nofis.hpp"
+#include "estimators/guarded_problem.hpp"
+#include "flow/coupling_stack.hpp"
 #include "linalg/solver_error.hpp"
 #include "rng/normal.hpp"
 #include "testcases/synthetic.hpp"
@@ -251,12 +253,51 @@ TEST(Nofis, ImportanceEstimateReusesTrainedFlow) {
     rng::Engine eng(6);
     auto run = est.run(prob, eng);
     // Fresh estimates from the same flow, growing N_IS (Figure 4's sweep).
-    core::IsDiagnostics diag;
+    estimators::IsDiagnostics diag;
     const auto res = NofisEstimator::importance_estimate(
         *run.flow, prob, eng, 4000, &diag);
     EXPECT_EQ(res.calls, 4000u);
     EXPECT_LT(estimators::log_error(res.p_hat, prob.analytic()), 0.6);
     EXPECT_GT(diag.effective_sample_size, 10.0);
+}
+
+/// Ω = {x0 >= 3}, but g is NaN wherever x0 < −1 — a simulator that fails
+/// on a wide slice of the proposal's bulk.
+class NanBelowMinusOne final : public estimators::RareEventProblem {
+public:
+    std::size_t dim() const noexcept override { return 2; }
+    double g(std::span<const double> x) const override {
+        return x[0] < -1.0 ? std::numeric_limits<double>::quiet_NaN()
+                           : 3.0 - x[0];
+    }
+};
+
+TEST(Nofis, NonFiniteFinalIsGFailsTheEstimate) {
+    // A NaN g is neither a failure nor a pass; counting it as a hit (NaN > 0
+    // is false) used to report p̂ ≈ 0.16 against a true 1.35e-3.
+    const NanBelowMinusOne raw;
+    estimators::GuardConfig gcfg;
+    gcfg.policy = estimators::GuardConfig::Policy::kPropagate;
+    const estimators::GuardedProblem guarded(raw, gcfg);
+    flow::StackConfig scfg;
+    scfg.dim = 2;
+    scfg.num_blocks = 2;
+    scfg.layers_per_block = 4;
+    scfg.hidden = {16, 16};
+    rng::Engine eng(12);
+    const flow::CouplingStack fresh(scfg, eng);
+    estimators::IsDiagnostics diag;
+    const auto res = NofisEstimator::importance_estimate(fresh, guarded, eng,
+                                                         20000, &diag);
+    EXPECT_TRUE(res.failed);
+    EXPECT_TRUE(std::isnan(res.p_hat));
+    EXPECT_EQ(res.calls, 20000u);
+    const std::string tail = " of 20000 final-IS g values are non-finite";
+    ASSERT_GT(res.detail.size(), tail.size());
+    EXPECT_EQ(res.detail.substr(res.detail.size() - tail.size()), tail);
+    EXPECT_GT(std::stoul(res.detail), 0u);
+    // The NaN rows are not hits: what is left is the x0 ≥ 3 tail only.
+    EXPECT_LT(diag.hits, 200u);
 }
 
 TEST(Nofis, DefensiveMixtureStaysCalibrated) {
