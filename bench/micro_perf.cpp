@@ -230,8 +230,8 @@ void BM_YBranchEval(benchmark::State& state) {
 }
 BENCHMARK(BM_YBranchEval);
 
-// One finite-difference gradient row of the YBranch case: 2·26 + 1 = 53
-// transmission calls, the unit the NOFIS g_grad phase spends its time in.
+// One gradient row of the YBranch case, the unit the NOFIS g_grad phase
+// spends its time in: one forward pass plus one adjoint sweep.
 void BM_YBranchGrad(benchmark::State& state) {
     const auto yb = testcases::make_case("YBranch");
     rng::Engine eng(8);
@@ -243,6 +243,21 @@ void BM_YBranchGrad(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_YBranchGrad);
+
+// The same row by central finite differences, the RareEventProblem default
+// the other circuit cases still use: 2·26 + 1 = 53 transmission calls.
+void BM_YBranchGradFd(benchmark::State& state) {
+    const auto yb = testcases::make_case("YBranch");
+    rng::Engine eng(8);
+    std::vector<double> x(yb->dim());
+    std::vector<double> grad(yb->dim());
+    for (auto _ : state) {
+        rng::fill_standard_normal(eng, x);
+        benchmark::DoNotOptimize(
+            yb->estimators::RareEventProblem::g_grad(x, grad));
+    }
+}
+BENCHMARK(BM_YBranchGradFd);
 
 }  // namespace
 

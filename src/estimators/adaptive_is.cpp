@@ -31,8 +31,14 @@ EstimateResult AdaptiveIsEstimator::estimate(const RareEventProblem& raw,
             proposal.sample(eng, cfg_.samples_per_iteration);
         const std::vector<double> gv = problem.g_rows(x);
 
-        // Elite level: rho-quantile of g, floored at the failure threshold.
-        std::vector<double> sorted(gv);
+        // Elite level: rho-quantile of the finite g values, floored at the
+        // failure threshold. A non-finite g (the simulator failed) is
+        // neither elite nor counted in the quantile.
+        std::vector<double> sorted;
+        sorted.reserve(gv.size());
+        for (const double v : gv)
+            if (std::isfinite(v)) sorted.push_back(v);
+        if (sorted.empty()) continue;
         const auto q_idx = static_cast<std::size_t>(
             cfg_.elite_quantile * static_cast<double>(sorted.size() - 1));
         std::nth_element(sorted.begin(),
@@ -45,7 +51,7 @@ EstimateResult AdaptiveIsEstimator::estimate(const RareEventProblem& raw,
         std::vector<double> w(gv.size(), 0.0);
         bool any = false;
         for (std::size_t r = 0; r < gv.size(); ++r) {
-            if (gv[r] > level) continue;
+            if (!std::isfinite(gv[r]) || gv[r] > level) continue;
             const auto xr = x.row_span(r);
             const double lw =
                 rng::standard_normal_log_pdf(xr) - proposal.log_pdf(xr);

@@ -49,6 +49,13 @@ public:
     /// concurrent calls, including the first ones on a fresh model.
     double transmission(std::span<const double> x) const;
 
+    /// T(x), with dT/dx written to `grad` (grad.size() == num_modes), from
+    /// one forward pass and one reverse (adjoint) sweep through the
+    /// transfer chain. The returned value equals transmission(x) bit for
+    /// bit. Safe for concurrent calls, like transmission().
+    double transmission_grad(std::span<const double> x,
+                             std::span<double> grad) const;
+
     /// Deformed width profile at segment centres (for tests / plots).
     std::vector<double> width_profile(std::span<const double> x) const;
 
@@ -65,6 +72,23 @@ private:
     };
 
     const Tables& tables() const;
+
+    /// What the reverse sweep reads of segment s: the amplitudes after the
+    /// mode rotation, the two propagators and the rotation itself.
+    struct SegmentState {
+        std::complex<double> b1, b2;  ///< post-rotation amplitudes
+        std::complex<double> u1;      ///< e^{−loss1 + iβ₁dz}
+        std::complex<double> u2;      ///< leak2·e^{iβ₂dz}
+        double cos_theta = 0.0;
+        double sin_theta = 0.0;
+        double dwidth = 0.0;  ///< w[s] − w_nominal[s]
+    };
+
+    /// The transfer chain: propagates the launched amplitudes through every
+    /// segment and returns T. Records each segment's state into `trace`
+    /// when it is non-empty (trace.size() == segments).
+    double propagate(std::span<const double> x,
+                     std::span<SegmentState> trace) const;
 
     /// z_s / L for the centre of segment s.
     double taper_fraction(std::size_t s) const;

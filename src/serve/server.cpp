@@ -19,6 +19,9 @@ namespace nofis::serve {
 
 namespace {
 
+/// How long teardown lets connection writers flush queued responses.
+constexpr auto kFlushTimeout = std::chrono::seconds(2);
+
 void send_all(int fd, const std::string& data) {
     std::size_t sent = 0;
     while (sent < data.size()) {
@@ -44,6 +47,7 @@ struct Server::Connection {
     std::condition_variable cv;
     std::deque<std::future<Response>> pending;  ///< responses, request order
     bool read_done = false;
+    bool write_done = false;  ///< writer drained its queue and exited
     bool broken = false;  ///< write side failed; drain without sending
 };
 
@@ -164,7 +168,11 @@ void Server::serve_connection(Connection& conn) {
                 conn.cv.wait(lock, [&] {
                     return !conn.pending.empty() || conn.read_done;
                 });
-                if (conn.pending.empty()) return;  // read_done && drained
+                if (conn.pending.empty()) {  // read_done && drained
+                    conn.write_done = true;
+                    conn.cv.notify_all();
+                    return;
+                }
                 next = std::move(conn.pending.front());
                 conn.pending.pop_front();
             }
@@ -214,10 +222,24 @@ void Server::shutdown() {
     // connection writers cannot block on get() below.
     scheduler_.stop();
 
+    // Close each connection's read side first: its reader's recv returns,
+    // and its writer still flushes every queued response (the `shutdown`
+    // ack among them) before it exits. A peer that stops reading could
+    // park a writer in send() for good, so once kFlushTimeout has passed
+    // the write side is closed anyway, which fails that send.
     const std::lock_guard<std::mutex> lock(conn_mutex_);
     for (auto& conn : connections_) {
-        ::shutdown(conn->fd, SHUT_RDWR);  // unblocks the reader's recv
+        ::shutdown(conn->fd, SHUT_RD);
         if (conn->reader.joinable()) conn->reader.join();
+    }
+    const auto deadline = std::chrono::steady_clock::now() + kFlushTimeout;
+    for (auto& conn : connections_) {
+        {
+            std::unique_lock<std::mutex> flushed(conn->mutex);
+            conn->cv.wait_until(flushed, deadline,
+                                [&] { return conn->write_done; });
+        }
+        ::shutdown(conn->fd, SHUT_WR);
         if (conn->writer.joinable()) conn->writer.join();
         ::close(conn->fd);
         conn->fd = -1;

@@ -58,8 +58,10 @@ public:
     /// shutdown handler calls this).
     void request_shutdown();
 
-    /// Full teardown: stop accepting, drain + stop the scheduler, join
-    /// connection threads. Idempotent.
+    /// Full teardown: stop accepting, drain + stop the scheduler, let each
+    /// connection flush its queued responses (for at most 2 s in all, so a
+    /// peer that stopped reading cannot stall it), join connection threads.
+    /// Idempotent.
     void shutdown();
 
 private:

@@ -188,6 +188,34 @@ TEST(AdaptiveIs, CallAccountingMatchesConfig) {
     EXPECT_EQ(ais.estimate(prob, eng).calls, 3u * 500u + 700u);
 }
 
+TEST(AdaptiveIs, NonFiniteRowsAreNeverElite) {
+    // g = 3 − x₀ with the simulator failing (NaN) wherever x₀ < −1. The
+    // cross-entropy iterations must drop those rows, not refit the mixture
+    // toward them; the estimate then matches the clean problem's.
+    class NanBelow final : public RareEventProblem {
+    public:
+        std::size_t dim() const noexcept override { return 2; }
+        double g(std::span<const double> x) const override {
+            return x[0] < -1.0 ? std::numeric_limits<double>::quiet_NaN()
+                               : 3.0 - x[0];
+        }
+    };
+    const NanBelow nan_prob;
+    const HalfSpace clean(2, 3.0);
+    const estimators::AdaptiveIsEstimator ais({});
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        rng::Engine eng_nan(seed), eng_clean(seed);
+        const auto got = ais.estimate(nan_prob, eng_nan);
+        const auto want = ais.estimate(clean, eng_clean);
+        ASSERT_FALSE(got.failed) << "seed " << seed << ": " << got.detail;
+        ASSERT_FALSE(want.failed) << "seed " << seed;
+        EXPECT_EQ(got.calls, want.calls);
+        EXPECT_NEAR(got.p_hat, want.p_hat, 0.1 * want.p_hat) << "seed " << seed;
+        EXPECT_NEAR(got.p_hat, clean.analytic(), 0.1 * clean.analytic())
+            << "seed " << seed;
+    }
+}
+
 TEST(Sir, LearnsSmoothBoundary) {
     HalfSpace prob(4, 3.0);  // P ≈ 1.35e-3 — learnable boundary
     estimators::SirEstimator sir(

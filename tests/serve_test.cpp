@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -749,6 +750,85 @@ TEST_F(ServeFixture, ServerSurvivesClientDisconnectMidRequest) {
     EXPECT_TRUE(pong.ok);
     EXPECT_EQ(pong.id, 9u);
     server.shutdown();
+}
+
+// The `shutdown` ack is resolved before the server starts tearing down, but
+// it may still sit in the connection's writer queue when teardown reaches
+// that connection. Teardown must flush it: the client that asked for the
+// shutdown always gets its answer. Mirrors `nofis_cli serve --threads 8
+// --max-batch-rows 1`, one estimate, then `query --op shutdown`; the large
+// sample pipelined ahead of the shutdown keeps the writer busy encoding
+// while teardown runs, so the window is wide on every iteration.
+TEST_F(ServeFixture, ShutdownAckReachesClientDuringTeardown) {
+    PoolGuard pool;
+    parallel::set_num_threads(8);
+    serve::ServerConfig cfg;
+    cfg.model_dir = dir_;
+    cfg.port = 0;
+    cfg.scheduler.max_batch_rows = 1;
+    for (std::uint64_t iter = 0; iter < 10; ++iter) {
+        serve::Server server(cfg);
+        {
+            serve::TcpClient client("127.0.0.1", server.port());
+            Request est;
+            est.id = iter;
+            est.op = Op::kEstimate;
+            est.model = "toy2";
+            est.case_name = "Leaf";
+            est.seed = iter;
+            est.n = 200;
+            EXPECT_TRUE(client.call(est).ok);
+        }
+
+        std::vector<std::string> lines;
+        std::string error;
+        std::thread asker([&] {
+            try {
+                serve::TcpClient client("127.0.0.1", server.port());
+                Request big;
+                big.id = 1;
+                big.op = Op::kSample;
+                big.model = "toy3";
+                big.seed = iter;
+                big.n = 20000;
+                Request down;
+                down.id = 2;
+                down.op = Op::kShutdown;
+                lines = client.pipeline_raw({big.encode(), down.encode()});
+            } catch (const std::exception& e) {
+                error = e.what();
+            }
+        });
+        server.wait();
+        server.shutdown();
+        asker.join();
+        ASSERT_EQ(lines.size(), 2u) << "iteration " << iter << ": " << error;
+        EXPECT_TRUE(Response::decode(lines[0]).ok);
+        const Response ack = Response::decode(lines[1]);
+        EXPECT_TRUE(ack.ok);
+        EXPECT_EQ(ack.id, 2u);
+    }
+}
+
+// Teardown waits for queued responses to flush, but not forever: a client
+// that never reads a response larger than the socket buffers leaves the
+// writer parked in send(), and shutdown() must still return.
+TEST_F(ServeFixture, ShutdownReturnsWhenAClientStopsReading) {
+    serve::ServerConfig cfg;
+    cfg.model_dir = dir_;
+    cfg.port = 0;
+    serve::Server server(cfg);
+    serve::TcpClient client("127.0.0.1", server.port());
+    Request big;
+    big.op = Op::kSample;
+    big.model = "toy3";
+    big.n = 200000;  // ~12 MB of JSON, never read
+    client.send_line(big.encode());
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    server.shutdown();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
 }
 
 }  // namespace
